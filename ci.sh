@@ -82,24 +82,16 @@ echo "==> bench snapshot smoke"
 # validation: proves the perf-trajectory machinery (BENCH_*.json
 # writer + validator) stays wired without paying full bench time. The
 # committed snapshots at the repo root are refreshed manually by full
-# `cargo bench` runs, not by CI.
+# `cargo bench` runs, not by CI; a unit test in crates/bench checks that
+# each of them parses and round-trips byte for byte.
 snapdir="$(mktemp -d)"
 trap 'rm -rf "$snapdir"' EXIT
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench parallel_scaling >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_parallel_scaling.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench deploy_storm >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_admission.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench fleet >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_fleet.json"
-INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
-  cargo bench --quiet --bench scenarios >/dev/null
-cargo run --release -q -p innet-bench --bin validate_snapshot \
-  "$snapdir/BENCH_scenarios.json"
+for bench in parallel_scaling fig12_middlebox_throughput deploy_storm fleet scenarios; do
+  INNET_BENCH_QUICK=1 INNET_BENCH_SNAPSHOT_DIR="$snapdir" \
+    cargo bench --quiet --bench "$bench" >/dev/null
+done
+snaps=("$snapdir"/BENCH_*.json)
+[ "${#snaps[@]}" -eq 5 ] || { echo "expected 5 snapshots, found ${#snaps[@]}" >&2; exit 1; }
+cargo run --release -q -p innet-bench --bin validate_snapshot "${snaps[@]}"
 
 echo "CI OK"

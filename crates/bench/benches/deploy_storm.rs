@@ -30,7 +30,7 @@ use std::time::Instant;
 use innet::controller::{ClientRequest, Controller};
 use innet::prelude::*;
 use innet::topology::Topology;
-use innet_bench::{quick_mode, AdmissionSnapshot, Report};
+use innet_bench::{quick_mode, Report, Snapshot};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const CLIENTS: usize = 16;
@@ -178,7 +178,7 @@ fn main() {
         "mode", "mean (us)", "p50 (us)", "p99 (us)", "summary hits"
     ));
 
-    let mut snap = AdmissionSnapshot::new("admission");
+    let mut snap = Snapshot::new("admission");
     let mut means = Vec::new();
     for (mode, summaries) in [("whole-graph", false), ("compositional", true)] {
         let mut run = storm(summaries, requests, 0x5702_2015);
@@ -202,15 +202,15 @@ fn main() {
         } else {
             assert_eq!(run.summary_hits, 0, "oracle mode must not touch the cache");
         }
-        snap.row(
-            "mixed-stock-novel",
-            mode,
-            requests as u64,
-            mean,
-            p50 as f64,
-            p99 as f64,
-            run.summary_hits,
-        );
+        snap.row([
+            "mixed-stock-novel".into(),
+            mode.into(),
+            (requests as u64).into(),
+            mean.into(),
+            (p50 as f64).into(),
+            (p99 as f64).into(),
+            run.summary_hits.into(),
+        ]);
         means.push(mean);
     }
 

@@ -22,7 +22,7 @@ use innet::platform::{
     RunnerConfig,
 };
 use innet::prelude::*;
-use innet_bench::{quick_mode, BenchSnapshot};
+use innet_bench::{quick_mode, Snapshot};
 use std::net::Ipv4Addr;
 
 const TRACE_LEN: usize = 2048;
@@ -252,7 +252,7 @@ fn emit_snapshot(quick: bool) {
     } else {
         (150, 5, &[1, 2, 4, 8])
     };
-    let mut snap = BenchSnapshot::new("parallel_scaling");
+    let mut snap = Snapshot::new("parallel_scaling");
 
     // Two tenant counts: the growth from 16 to 64 is where the compiled
     // host-table dispatch pulls away — the interpreter's classifier
@@ -266,7 +266,13 @@ fn emit_snapshot(quick: bool) {
                 let (pps, gbps) =
                     measure(&consolidated, &cons_pkts, workers, compiled, rounds, reps);
                 let mode = if compiled { "compiled" } else { "interpreted" };
-                snap.row(label, mode, workers as u64, pps, gbps);
+                snap.row([
+                    label.into(),
+                    mode.into(),
+                    (workers as u64).into(),
+                    pps.into(),
+                    gbps.into(),
+                ]);
             }
         }
     }
@@ -281,7 +287,13 @@ fn emit_snapshot(quick: bool) {
             for compiled in [false, true] {
                 let (pps, gbps) = measure(&cfg, &pkts, workers, compiled, rounds, reps);
                 let mode = if compiled { "compiled" } else { "interpreted" };
-                snap.row(kind, mode, workers as u64, pps, gbps);
+                snap.row([
+                    kind.into(),
+                    mode.into(),
+                    (workers as u64).into(),
+                    pps.into(),
+                    gbps.into(),
+                ]);
             }
         }
     }
@@ -299,11 +311,12 @@ fn emit_snapshot(quick: bool) {
             "statefulfw-bidir",
         ] {
             let find = |mode: &str| {
-                snap.rows
-                    .iter()
-                    .find(|r| r.corpus == corpus && r.mode == mode && r.workers == workers as u64)
-                    .map(|r| r.pps)
-                    .unwrap_or(0.0)
+                let key = [
+                    ("corpus", corpus.into()),
+                    ("mode", mode.into()),
+                    ("workers", (workers as u64).into()),
+                ];
+                snap.num(&key, "pps").unwrap_or(0.0)
             };
             let (i, c) = (find("interpreted"), find("compiled"));
             println!(

@@ -69,159 +69,352 @@ pub fn quick_mode() -> bool {
 /// Version stamp of the snapshot schema; bump on breaking changes.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 
-/// One measured point: a corpus, an engine mode, a worker count, and the
+/// What one snapshot column holds.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A non-empty string (corpus, scenario).
+    Label,
+    /// A label from a closed set (the engine or verification `mode`).
+    OneOf(&'static [&'static str]),
+    /// An integer no smaller than the given minimum, printed bare.
+    Int(u64),
+    /// A finite non-negative number, printed with three decimals.
+    Num,
+}
+
+/// A cross-column invariant every row of a bench must satisfy.
+enum Rule {
+    /// The first column never exceeds the second (e.g. p50 <= p99).
+    AtMost(&'static str, &'static str),
+    /// The first column is zero whenever the second is (no downtime
+    /// without migrations or re-homes).
+    ZeroWithout(&'static str, &'static str),
+}
+
+/// One bench's declared columns, in on-disk order, and its invariants.
+struct Schema {
+    bench: &'static str,
+    columns: &'static [(&'static str, Kind)],
+    rules: &'static [Rule],
+}
+
+/// Packet-rate rows: a corpus, an engine mode, a worker count, and the
 /// observed rates.
+const THROUGHPUT: &[(&str, Kind)] = &[
+    ("corpus", Kind::Label),
+    ("mode", Kind::OneOf(&["interpreted", "compiled"])),
+    ("workers", Kind::Int(1)),
+    ("pps", Kind::Num),
+    ("gbps", Kind::Num),
+];
+
+/// Every bench that writes a `BENCH_<bench>.json` snapshot.
+const SCHEMAS: &[Schema] = &[
+    Schema {
+        bench: "parallel_scaling",
+        columns: THROUGHPUT,
+        rules: &[],
+    },
+    Schema {
+        bench: "fig12_middlebox",
+        columns: THROUGHPUT,
+        rules: &[],
+    },
+    // Per-request admission latency (ns) of one verification mode over
+    // a request corpus; `summary_hits` counts chain summaries served from
+    // the fleet-wide cache (zero in whole-graph mode by construction).
+    Schema {
+        bench: "admission",
+        columns: &[
+            ("corpus", Kind::Label),
+            ("mode", Kind::OneOf(&["whole-graph", "compositional"])),
+            ("requests", Kind::Int(1)),
+            ("mean_ns", Kind::Num),
+            ("p50_ns", Kind::Num),
+            ("p99_ns", Kind::Num),
+            ("summary_hits", Kind::Int(0)),
+        ],
+        rules: &[Rule::AtMost("p50_ns", "p99_ns")],
+    },
+    // Placement latency and live-migration downtime (ns) of one tenant
+    // mix over a generated capacitated topology.
+    Schema {
+        bench: "fleet",
+        columns: &[
+            ("scenario", Kind::Label),
+            ("nodes", Kind::Int(1)),
+            ("platforms", Kind::Int(1)),
+            ("placements", Kind::Int(1)),
+            ("placement_p50_ns", Kind::Num),
+            ("placement_p99_ns", Kind::Num),
+            ("migrations", Kind::Int(0)),
+            ("downtime_p50_ns", Kind::Num),
+            ("downtime_p99_ns", Kind::Num),
+        ],
+        rules: &[
+            Rule::AtMost("platforms", "nodes"),
+            Rule::AtMost("placement_p50_ns", "placement_p99_ns"),
+            Rule::AtMost("downtime_p50_ns", "downtime_p99_ns"),
+            Rule::ZeroWithout("downtime_p99_ns", "migrations"),
+        ],
+    },
+    // One scripted fleet incident driven through the `FleetDriver`:
+    // re-home downtime (ns) and fabric link tail-drops.
+    Schema {
+        bench: "scenarios",
+        columns: &[
+            ("scenario", Kind::Label),
+            ("tenants", Kind::Int(1)),
+            ("rehomed", Kind::Int(0)),
+            ("rehome_p50_ns", Kind::Num),
+            ("rehome_p99_ns", Kind::Num),
+            ("link_drops", Kind::Int(0)),
+        ],
+        rules: &[
+            Rule::AtMost("rehomed", "tenants"),
+            Rule::AtMost("rehome_p50_ns", "rehome_p99_ns"),
+            Rule::ZeroWithout("rehome_p99_ns", "rehomed"),
+        ],
+    },
+];
+
+impl Schema {
+    fn of(bench: &str) -> Option<&'static Schema> {
+        SCHEMAS.iter().find(|s| s.bench == bench)
+    }
+
+    fn index(&self, column: &str) -> Option<usize> {
+        self.columns.iter().position(|(name, _)| *name == column)
+    }
+
+    /// Parses one row object: exactly the declared columns, each of its
+    /// kind, then the bench's invariants.
+    fn parse_row(&self, v: &json::Value) -> Result<Vec<Cell>, String> {
+        let obj = v.as_obj().ok_or("must be an object")?;
+        let names: Vec<&str> = self.columns.iter().map(|(name, _)| *name).collect();
+        let row = self
+            .columns
+            .iter()
+            .zip(json::fields(obj, &names)?)
+            .map(|(&(name, kind), v)| Cell::parse(name, kind, v))
+            .collect::<Result<Vec<_>, _>>()?;
+        let get = |column| &row[self.index(column).expect("rules name declared columns")];
+        for rule in self.rules {
+            match *rule {
+                Rule::AtMost(a, b) if get(a).as_f64() > get(b).as_f64() => {
+                    return Err(format!("{a} exceeds {b}"));
+                }
+                Rule::ZeroWithout(a, b) if get(b).as_f64() == 0.0 && get(a).as_f64() != 0.0 => {
+                    return Err(format!("{a} reported without {b}"));
+                }
+                _ => {}
+            }
+        }
+        Ok(row)
+    }
+}
+
+/// One value in a snapshot row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchRow {
-    /// Workload name (e.g. `"consolidated"`, `"fig12-firewall"`).
-    pub corpus: String,
-    /// `"interpreted"` or `"compiled"`.
-    pub mode: String,
-    /// Worker threads the corpus ran on (1 for the native runner).
-    pub workers: u64,
-    /// Measured packets per second.
-    pub pps: f64,
-    /// Measured throughput in Gbit/s at the corpus frame size.
-    pub gbps: f64,
+pub enum Cell {
+    /// A label column (corpus, mode, scenario).
+    Label(String),
+    /// A count column.
+    Int(u64),
+    /// A measured quantity.
+    Num(f64),
+}
+
+impl Cell {
+    fn parse(name: &str, kind: Kind, v: &json::Value) -> Result<Cell, String> {
+        match kind {
+            Kind::Label => match v.as_str() {
+                Some(s) if !s.is_empty() => Ok(Cell::Label(s.to_string())),
+                _ => Err(format!("{name} must be a non-empty string")),
+            },
+            Kind::OneOf(allowed) => match v.as_str() {
+                Some(s) if allowed.contains(&s) => Ok(Cell::Label(s.to_string())),
+                _ => Err(format!("{name} must be one of {allowed:?}")),
+            },
+            Kind::Int(min) => match v.as_num() {
+                Some(x) if x.fract() == 0.0 && x >= min as f64 && x <= u64::MAX as f64 => {
+                    Ok(Cell::Int(x as u64))
+                }
+                _ => Err(format!("{name} must be an integer >= {min}")),
+            },
+            Kind::Num => match v.as_num() {
+                Some(x) if x.is_finite() && x >= 0.0 => Ok(Cell::Num(x)),
+                _ => Err(format!("{name} must be finite and non-negative")),
+            },
+        }
+    }
+
+    fn fits(&self, kind: Kind) -> bool {
+        matches!(
+            (self, kind),
+            (Cell::Label(_), Kind::Label | Kind::OneOf(_))
+                | (Cell::Int(_), Kind::Int(_))
+                | (Cell::Num(_), Kind::Num)
+        )
+    }
+
+    fn as_f64(&self) -> f64 {
+        match self {
+            Cell::Label(_) => f64::NAN,
+            Cell::Int(n) => *n as f64,
+            Cell::Num(x) => *x,
+        }
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Label(s.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Label(s)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Cell {
+        Cell::Int(n)
+    }
+}
+
+impl From<f64> for Cell {
+    fn from(x: f64) -> Cell {
+        Cell::Num(x)
+    }
 }
 
 /// A benchmark snapshot: the machine-readable record a bench run leaves
-/// behind (`BENCH_<name>.json`), committed to the repository so the perf
-/// trajectory across changes stays in history.
+/// behind (`BENCH_<bench>.json`), committed to the repository so the
+/// perf trajectory across changes stays in history.
 ///
-/// The container has no `serde_json`, so the format is hand-rolled here:
-/// [`BenchSnapshot::to_json`] emits it and [`BenchSnapshot::parse`]
-/// validates it (CI round-trips a freshly emitted file through the
-/// parser).
+/// Each bench has one declared column table; rows are flat objects in
+/// that column order, integers print bare and other numbers with three
+/// decimals. The container has no `serde_json`, so the format is
+/// hand-rolled: [`Snapshot::to_json`] emits it and [`Snapshot::parse`]
+/// validates it against the schema of the file's own `bench`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchSnapshot {
-    /// Which bench produced this snapshot.
-    pub bench: String,
-    /// The measured points.
-    pub rows: Vec<BenchRow>,
+pub struct Snapshot {
+    bench: &'static str,
+    rows: Vec<Vec<Cell>>,
 }
 
-impl BenchSnapshot {
+impl Snapshot {
     /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> BenchSnapshot {
-        BenchSnapshot {
-            bench: name.to_string(),
+    ///
+    /// # Panics
+    ///
+    /// If no snapshot schema is declared for `name`.
+    pub fn new(name: &str) -> Snapshot {
+        let schema = Schema::of(name).unwrap_or_else(|| panic!("no snapshot schema for '{name}'"));
+        Snapshot {
+            bench: schema.bench,
             rows: Vec::new(),
         }
     }
 
-    /// Appends one measured row.
-    pub fn row(&mut self, corpus: &str, mode: &str, workers: u64, pps: f64, gbps: f64) {
-        self.rows.push(BenchRow {
-            corpus: corpus.to_string(),
-            mode: mode.to_string(),
-            workers,
-            pps,
-            gbps,
-        });
+    /// Which bench produced this snapshot.
+    pub fn bench(&self) -> &'static str {
+        self.bench
     }
 
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
+    /// The measured rows, each in declared column order.
+    pub fn rows(&self) -> &[Vec<Cell>] {
+        &self.rows
+    }
+
+    fn schema(&self) -> &'static Schema {
+        Schema::of(self.bench).expect("bench checked at construction")
+    }
+
+    /// Appends one measured row, cells in declared column order. Values
+    /// are checked when the file is parsed, not here.
+    ///
+    /// # Panics
+    ///
+    /// If the row does not have one cell of the declared kind per column.
+    pub fn row<const N: usize>(&mut self, cells: [Cell; N]) {
+        let columns = self.schema().columns;
+        assert!(
+            N == columns.len() && cells.iter().zip(columns).all(|(c, &(_, k))| c.fits(k)),
+            "row {cells:?} does not fit the '{}' columns",
+            self.bench
         );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"corpus\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"pps\": {}, \"gbps\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.corpus),
-                esc(&r.mode),
-                r.workers,
-                num(r.pps),
-                num(r.gbps)
-            );
+        self.rows.push(cells.into());
+    }
+
+    /// Reads the number in `column` of the first row whose cells equal
+    /// every `(column, value)` pair in `key`; `None` when no row matches
+    /// or `column` is not a number column.
+    pub fn num(&self, key: &[(&str, Cell)], column: &str) -> Option<f64> {
+        let schema = self.schema();
+        let at = schema.index(column)?;
+        let row = self.rows.iter().find(|r| {
+            key.iter()
+                .all(|(name, want)| schema.index(name).is_some_and(|i| r[i] == *want))
+        })?;
+        match row[at] {
+            Cell::Num(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// Serializes to the snapshot JSON format.
+    pub fn to_json(&self) -> String {
+        let columns = self.schema().columns;
+        let mut out = format!(
+            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
+            self.bench
+        );
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+            for (j, ((name, _), cell)) in columns.iter().zip(row).enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let _ = match cell {
+                    Cell::Label(s) => write!(out, "{sep}\"{name}\": \"{}\"", esc(s)),
+                    Cell::Int(n) => write!(out, "{sep}\"{name}\": {n}"),
+                    Cell::Num(x) if x.is_finite() => write!(out, "{sep}\"{name}\": {x:.3}"),
+                    Cell::Num(_) => write!(out, "{sep}\"{name}\": 0.000"),
+                };
+            }
+            out.push('}');
         }
         out.push_str("\n  ]\n}\n");
         out
     }
 
-    /// Parses and schema-validates snapshot JSON: required fields, known
-    /// `mode` values, positive worker counts, finite non-negative rates.
-    pub fn parse(text: &str) -> Result<BenchSnapshot, String> {
+    /// Parses snapshot JSON and validates it against the schema of its
+    /// `bench`: a known bench, exactly the declared columns per row (none
+    /// missing, unknown or repeated), each of its kind, and the bench's
+    /// invariants.
+    pub fn parse(text: &str) -> Result<Snapshot, String> {
         let v = json::parse(text)?;
         let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
+        let top = json::fields(obj, &["schema_version", "bench", "rows"])?;
+        let version = top[0].as_num().ok_or("schema_version must be a number")?;
         if version != SNAPSHOT_SCHEMA_VERSION as f64 {
             return Err(format!("unsupported schema_version {version}"));
         }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
+        let bench = top[1].as_str().ok_or("bench must be a string")?;
+        let schema = Schema::of(bench).ok_or(format!("unknown bench '{bench}'"))?;
+        let rows = top[2]
             .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let corpus = json::field(ro, "corpus")?
-                .as_str()
-                .ok_or(format!("row {i}: corpus must be a string"))?
-                .to_string();
-            let mode = json::field(ro, "mode")?
-                .as_str()
-                .ok_or(format!("row {i}: mode must be a string"))?
-                .to_string();
-            if mode != "interpreted" && mode != "compiled" {
-                return Err(format!("row {i}: unknown mode '{mode}'"));
-            }
-            let workers = json::field(ro, "workers")?
-                .as_num()
-                .ok_or(format!("row {i}: workers must be a number"))?;
-            if workers < 1.0 || workers.fract() != 0.0 {
-                return Err(format!("row {i}: workers must be a positive integer"));
-            }
-            let pps = json::field(ro, "pps")?
-                .as_num()
-                .ok_or(format!("row {i}: pps must be a number"))?;
-            let gbps = json::field(ro, "gbps")?
-                .as_num()
-                .ok_or(format!("row {i}: gbps must be a number"))?;
-            if !(pps.is_finite() && pps >= 0.0 && gbps.is_finite() && gbps >= 0.0) {
-                return Err(format!("row {i}: rates must be finite and non-negative"));
-            }
-            rows.push(BenchRow {
-                corpus,
-                mode,
-                workers: workers as u64,
-                pps,
-                gbps,
-            });
-        }
-        Ok(BenchSnapshot { bench, rows })
+            .ok_or("rows must be an array")?
+            .iter()
+            .enumerate()
+            .map(|(i, rv)| schema.parse_row(rv).map_err(|e| format!("row {i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        Ok(Snapshot {
+            bench: schema.bench,
+            rows,
+        })
     }
 
     /// Writes `BENCH_<bench>.json` into the snapshot directory
@@ -229,641 +422,39 @@ impl BenchSnapshot {
     /// snapshots live beside the code they measure). Returns the path on
     /// success.
     pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-/// Resolves the snapshot directory and writes `BENCH_<bench>.json`.
-fn write_snapshot(bench: &str, json: &str) -> Option<PathBuf> {
-    let dir = match std::env::var("INNET_BENCH_SNAPSHOT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    };
-    let path = dir.join(format!("BENCH_{bench}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => {
-            eprintln!("[snapshot written to {}]", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("[snapshot write failed: {e}]");
-            None
+        let dir = match std::env::var("INNET_BENCH_SNAPSHOT_DIR") {
+            Ok(d) => PathBuf::from(d),
+            Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
+        };
+        let path = dir.join(format!("BENCH_{}.json", self.bench));
+        match std::fs::write(&path, self.to_json()) {
+            Ok(()) => {
+                eprintln!("[snapshot written to {}]", path.display());
+                Some(path)
+            }
+            Err(e) => {
+                eprintln!("[snapshot write failed: {e}]");
+                None
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Admission-latency snapshots (the deploy-storm bench).
-// ---------------------------------------------------------------------------
-
-/// One admission-latency row: a verification engine mode driven over a
-/// request corpus, with the observed per-request latency distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionRow {
-    /// Corpus name (e.g. `"mixed-stock-novel"`).
-    pub corpus: String,
-    /// `"whole-graph"` or `"compositional"`.
-    pub mode: String,
-    /// Uncached admission requests measured.
-    pub requests: u64,
-    /// Mean admission latency in nanoseconds.
-    pub mean_ns: f64,
-    /// Median admission latency in nanoseconds.
-    pub p50_ns: f64,
-    /// 99th-percentile admission latency in nanoseconds.
-    pub p99_ns: f64,
-    /// Chain summaries served from the fleet-wide cache during the run
-    /// (zero in whole-graph mode by construction).
-    pub summary_hits: u64,
-}
-
-/// The machine-readable record the deploy-storm bench leaves behind
-/// (`BENCH_admission.json`): per-mode admission latency percentiles, so
-/// the compositional-vs-whole-graph trajectory stays in history alongside
-/// the throughput snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionSnapshot {
-    /// Which bench produced this snapshot (`"admission"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<AdmissionRow>,
-}
-
-impl AdmissionSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> AdmissionSnapshot {
-        AdmissionSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
+/// Escapes a label for a JSON string literal.
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
-
-    /// Appends one measured row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row(
-        &mut self,
-        corpus: &str,
-        mode: &str,
-        requests: u64,
-        mean_ns: f64,
-        p50_ns: f64,
-        p99_ns: f64,
-        summary_hits: u64,
-    ) {
-        self.rows.push(AdmissionRow {
-            corpus: corpus.to_string(),
-            mode: mode.to_string(),
-            requests,
-            mean_ns,
-            p50_ns,
-            p99_ns,
-            summary_hits,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"corpus\": \"{}\", \"mode\": \"{}\", \"requests\": {}, \
-                 \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"summary_hits\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.corpus),
-                esc(&r.mode),
-                r.requests,
-                num(r.mean_ns),
-                num(r.p50_ns),
-                num(r.p99_ns),
-                r.summary_hits
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates admission snapshot JSON: required
-    /// fields, the closed `mode` set, positive request counts, finite
-    /// non-negative latencies with `p50 <= p99`.
-    pub fn parse(text: &str) -> Result<AdmissionSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let corpus = json::field(ro, "corpus")?
-                .as_str()
-                .ok_or(format!("row {i}: corpus must be a string"))?
-                .to_string();
-            let mode = json::field(ro, "mode")?
-                .as_str()
-                .ok_or(format!("row {i}: mode must be a string"))?
-                .to_string();
-            if mode != "whole-graph" && mode != "compositional" {
-                return Err(format!("row {i}: unknown mode '{mode}'"));
-            }
-            let requests = json::field(ro, "requests")?
-                .as_num()
-                .ok_or(format!("row {i}: requests must be a number"))?;
-            if requests < 1.0 || requests.fract() != 0.0 {
-                return Err(format!("row {i}: requests must be a positive integer"));
-            }
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
-                }
-                Ok(x)
-            };
-            let mean_ns = lat("mean_ns")?;
-            let p50_ns = lat("p50_ns")?;
-            let p99_ns = lat("p99_ns")?;
-            if p50_ns > p99_ns {
-                return Err(format!("row {i}: p50_ns exceeds p99_ns"));
-            }
-            let summary_hits = json::field(ro, "summary_hits")?
-                .as_num()
-                .ok_or(format!("row {i}: summary_hits must be a number"))?;
-            if summary_hits < 0.0 || summary_hits.fract() != 0.0 {
-                return Err(format!(
-                    "row {i}: summary_hits must be a non-negative integer"
-                ));
-            }
-            rows.push(AdmissionRow {
-                corpus,
-                mode,
-                requests: requests as u64,
-                mean_ns,
-                p50_ns,
-                p99_ns,
-                summary_hits: summary_hits as u64,
-            });
-        }
-        Ok(AdmissionSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet snapshots (the fleet placement + migration bench).
-// ---------------------------------------------------------------------------
-
-/// One fleet-bench row: a tenant scenario driven over a generated
-/// capacitated topology, with the observed placement-latency and
-/// migration-downtime distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetRow {
-    /// Tenant-mix scenario (e.g. `"stock"`, `"novel"`, `"mixed-stock-novel"`).
-    pub scenario: String,
-    /// Nodes in the generated topology.
-    pub nodes: u64,
-    /// Platforms among those nodes.
-    pub platforms: u64,
-    /// Placements (deploys) measured.
-    pub placements: u64,
-    /// Median controller placement latency in nanoseconds.
-    pub placement_p50_ns: f64,
-    /// 99th-percentile controller placement latency in nanoseconds.
-    pub placement_p99_ns: f64,
-    /// Live migrations completed during the run.
-    pub migrations: u64,
-    /// Median migration downtime (suspend → resume-complete) in
-    /// nanoseconds; zero when no migrations ran.
-    pub downtime_p50_ns: f64,
-    /// 99th-percentile migration downtime in nanoseconds.
-    pub downtime_p99_ns: f64,
-}
-
-/// The machine-readable record the fleet bench leaves behind
-/// (`BENCH_fleet.json`): placement latency and live-migration downtime
-/// over a seeded thousand-node topology, committed so the fleet-fabric
-/// perf trajectory stays in history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSnapshot {
-    /// Which bench produced this snapshot (`"fleet"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<FleetRow>,
-}
-
-impl FleetSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> FleetSnapshot {
-        FleetSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one measured row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn row(
-        &mut self,
-        scenario: &str,
-        nodes: u64,
-        platforms: u64,
-        placements: u64,
-        placement_p50_ns: f64,
-        placement_p99_ns: f64,
-        migrations: u64,
-        downtime_p50_ns: f64,
-        downtime_p99_ns: f64,
-    ) {
-        self.rows.push(FleetRow {
-            scenario: scenario.to_string(),
-            nodes,
-            platforms,
-            placements,
-            placement_p50_ns,
-            placement_p99_ns,
-            migrations,
-            downtime_p50_ns,
-            downtime_p99_ns,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"scenario\": \"{}\", \"nodes\": {}, \"platforms\": {}, \
-                 \"placements\": {}, \"placement_p50_ns\": {}, \"placement_p99_ns\": {}, \
-                 \"migrations\": {}, \"downtime_p50_ns\": {}, \"downtime_p99_ns\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.scenario),
-                r.nodes,
-                r.platforms,
-                r.placements,
-                num(r.placement_p50_ns),
-                num(r.placement_p99_ns),
-                r.migrations,
-                num(r.downtime_p50_ns),
-                num(r.downtime_p99_ns)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates fleet snapshot JSON: required fields,
-    /// positive node/platform/placement counts with `platforms <= nodes`,
-    /// finite non-negative latencies with `p50 <= p99` for both the
-    /// placement and downtime distributions, and zero downtime required
-    /// when no migrations ran.
-    pub fn parse(text: &str) -> Result<FleetSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let scenario = json::field(ro, "scenario")?
-                .as_str()
-                .ok_or(format!("row {i}: scenario must be a string"))?
-                .to_string();
-            if scenario.is_empty() {
-                return Err(format!("row {i}: scenario must be non-empty"));
-            }
-            let count = |name: &str, min: f64| -> Result<u64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if x < min || x.fract() != 0.0 {
-                    return Err(format!("row {i}: {name} must be an integer >= {min}"));
-                }
-                Ok(x as u64)
-            };
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
-                }
-                Ok(x)
-            };
-            let nodes = count("nodes", 1.0)?;
-            let platforms = count("platforms", 1.0)?;
-            if platforms > nodes {
-                return Err(format!("row {i}: platforms exceed nodes"));
-            }
-            let placements = count("placements", 1.0)?;
-            let placement_p50_ns = lat("placement_p50_ns")?;
-            let placement_p99_ns = lat("placement_p99_ns")?;
-            if placement_p50_ns > placement_p99_ns {
-                return Err(format!(
-                    "row {i}: placement_p50_ns exceeds placement_p99_ns"
-                ));
-            }
-            let migrations = count("migrations", 0.0)?;
-            let downtime_p50_ns = lat("downtime_p50_ns")?;
-            let downtime_p99_ns = lat("downtime_p99_ns")?;
-            if downtime_p50_ns > downtime_p99_ns {
-                return Err(format!("row {i}: downtime_p50_ns exceeds downtime_p99_ns"));
-            }
-            if migrations == 0 && downtime_p99_ns != 0.0 {
-                return Err(format!("row {i}: downtime reported without migrations"));
-            }
-            rows.push(FleetRow {
-                scenario,
-                nodes,
-                platforms,
-                placements,
-                placement_p50_ns,
-                placement_p99_ns,
-                migrations,
-                downtime_p50_ns,
-                downtime_p99_ns,
-            });
-        }
-        Ok(FleetSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario snapshots (the fleet scenario-engine bench).
-// ---------------------------------------------------------------------------
-
-/// One scenario-bench row: a scripted fleet incident (PoP kill, flash
-/// crowd, consolidation, CDN tiering) driven through the `FleetDriver`,
-/// with the observed failover and bandwidth-pricing outcomes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
-    /// Scenario name (e.g. `"kill-pop"`, `"flash-crowd"`).
-    pub scenario: String,
-    /// Tenants registered on the fleet during the run.
-    pub tenants: u64,
-    /// Tenants successfully re-homed by regional failover.
-    pub rehomed: u64,
-    /// Median per-tenant re-home downtime in nanoseconds (zero when
-    /// nothing re-homed).
-    pub rehome_p50_ns: f64,
-    /// 99th-percentile per-tenant re-home downtime in nanoseconds.
-    pub rehome_p99_ns: f64,
-    /// Packets tail-dropped at saturated fabric links during the run.
-    pub link_drops: u64,
-}
-
-/// The machine-readable record the scenario bench leaves behind
-/// (`BENCH_scenarios.json`): per-scenario failover downtime percentiles
-/// and link-drop counts over the generated fleet, committed so the
-/// scenario-engine trajectory stays in history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSnapshot {
-    /// Which bench produced this snapshot (`"scenarios"`).
-    pub bench: String,
-    /// The measured rows.
-    pub rows: Vec<ScenarioRow>,
-}
-
-impl ScenarioSnapshot {
-    /// An empty snapshot for bench `name`.
-    pub fn new(name: &str) -> ScenarioSnapshot {
-        ScenarioSnapshot {
-            bench: name.to_string(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one measured row.
-    pub fn row(
-        &mut self,
-        scenario: &str,
-        tenants: u64,
-        rehomed: u64,
-        rehome_p50_ns: f64,
-        rehome_p99_ns: f64,
-        link_drops: u64,
-    ) {
-        self.rows.push(ScenarioRow {
-            scenario: scenario.to_string(),
-            tenants,
-            rehomed,
-            rehome_p50_ns,
-            rehome_p99_ns,
-            link_drops,
-        });
-    }
-
-    /// Serializes to the snapshot JSON schema.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x:.3}")
-            } else {
-                "0.000".to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema_version\": {SNAPSHOT_SCHEMA_VERSION},\n  \"bench\": \"{}\",\n  \"rows\": [",
-            esc(&self.bench)
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    {{\"scenario\": \"{}\", \"tenants\": {}, \"rehomed\": {}, \
-                 \"rehome_p50_ns\": {}, \"rehome_p99_ns\": {}, \"link_drops\": {}}}",
-                if i == 0 { "" } else { "," },
-                esc(&r.scenario),
-                r.tenants,
-                r.rehomed,
-                num(r.rehome_p50_ns),
-                num(r.rehome_p99_ns),
-                r.link_drops
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses and schema-validates scenario snapshot JSON: required
-    /// fields, at least one tenant per row, `rehomed <= tenants`, finite
-    /// non-negative downtimes with `p50 <= p99`, and zero downtime
-    /// required when nothing re-homed.
-    pub fn parse(text: &str) -> Result<ScenarioSnapshot, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("top level must be an object")?;
-        let version = json::field(obj, "schema_version")?
-            .as_num()
-            .ok_or("schema_version must be a number")?;
-        if version != SNAPSHOT_SCHEMA_VERSION as f64 {
-            return Err(format!("unsupported schema_version {version}"));
-        }
-        let bench = json::field(obj, "bench")?
-            .as_str()
-            .ok_or("bench must be a string")?
-            .to_string();
-        if bench.is_empty() {
-            return Err("bench must be non-empty".to_string());
-        }
-        let rows_v = json::field(obj, "rows")?
-            .as_arr()
-            .ok_or("rows must be an array")?;
-        let mut rows = Vec::new();
-        for (i, rv) in rows_v.iter().enumerate() {
-            let ro = rv.as_obj().ok_or(format!("row {i} must be an object"))?;
-            let scenario = json::field(ro, "scenario")?
-                .as_str()
-                .ok_or(format!("row {i}: scenario must be a string"))?
-                .to_string();
-            if scenario.is_empty() {
-                return Err(format!("row {i}: scenario must be non-empty"));
-            }
-            let count = |name: &str, min: f64| -> Result<u64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if x < min || x.fract() != 0.0 {
-                    return Err(format!("row {i}: {name} must be an integer >= {min}"));
-                }
-                Ok(x as u64)
-            };
-            let lat = |name: &str| -> Result<f64, String> {
-                let x = json::field(ro, name)?
-                    .as_num()
-                    .ok_or(format!("row {i}: {name} must be a number"))?;
-                if !(x.is_finite() && x >= 0.0) {
-                    return Err(format!("row {i}: {name} must be finite and non-negative"));
-                }
-                Ok(x)
-            };
-            let tenants = count("tenants", 1.0)?;
-            let rehomed = count("rehomed", 0.0)?;
-            if rehomed > tenants {
-                return Err(format!("row {i}: rehomed exceeds tenants"));
-            }
-            let rehome_p50_ns = lat("rehome_p50_ns")?;
-            let rehome_p99_ns = lat("rehome_p99_ns")?;
-            if rehome_p50_ns > rehome_p99_ns {
-                return Err(format!("row {i}: rehome_p50_ns exceeds rehome_p99_ns"));
-            }
-            if rehomed == 0 && rehome_p99_ns != 0.0 {
-                return Err(format!("row {i}: downtime reported without re-homes"));
-            }
-            let link_drops = count("link_drops", 0.0)?;
-            rows.push(ScenarioRow {
-                scenario,
-                tenants,
-                rehomed,
-                rehome_p50_ns,
-                rehome_p99_ns,
-                link_drops,
-            });
-        }
-        Ok(ScenarioSnapshot { bench, rows })
-    }
-
-    /// Writes `BENCH_<bench>.json` (same directory resolution as
-    /// [`BenchSnapshot::write`]). Returns the path on success.
-    pub fn write(&self) -> Option<PathBuf> {
-        write_snapshot(&self.bench, &self.to_json())
-    }
+    out
 }
 
 /// A minimal JSON reader — just enough structure to validate snapshots
@@ -916,12 +507,29 @@ mod json {
         }
     }
 
-    /// Looks up a required object field.
-    pub fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or(format!("missing field '{name}'"))
+    /// Looks up exactly the named fields of an object, in `names` order:
+    /// a missing, repeated or unlisted key is an error.
+    pub fn fields<'a>(
+        obj: &'a [(String, Value)],
+        names: &[&str],
+    ) -> Result<Vec<&'a Value>, String> {
+        for (i, (key, _)) in obj.iter().enumerate() {
+            if !names.contains(&key.as_str()) {
+                return Err(format!("unknown field '{key}'"));
+            }
+            if obj[..i].iter().any(|(k, _)| k == key) {
+                return Err(format!("duplicate field '{key}'"));
+            }
+        }
+        names
+            .iter()
+            .map(|&name| {
+                obj.iter()
+                    .find(|(k, _)| k == name)
+                    .map(|(_, v)| v)
+                    .ok_or(format!("missing field '{name}'"))
+            })
+            .collect()
     }
 
     /// Parses one JSON document (trailing garbage is an error).
@@ -1090,217 +698,288 @@ mod json {
 mod snapshot_tests {
     use super::*;
 
-    fn sample() -> BenchSnapshot {
-        let mut s = BenchSnapshot::new("parallel_scaling");
-        s.row("consolidated", "interpreted", 1, 1_234_567.891, 0.632);
-        s.row("consolidated", "compiled", 1, 2_500_000.0, 1.28);
-        s.row("fig12-firewall", "compiled", 4, 9_000_000.5, 105.984);
-        s
+    // One small file per column table, in the exact on-disk format.
+    const THROUGHPUT: &str = r#"{
+  "schema_version": 1,
+  "bench": "parallel_scaling",
+  "rows": [
+    {"corpus": "consolidated", "mode": "interpreted", "workers": 1, "pps": 1234567.891, "gbps": 0.632},
+    {"corpus": "consolidated", "mode": "compiled", "workers": 1, "pps": 2500000.000, "gbps": 1.280},
+    {"corpus": "fig12-firewall", "mode": "compiled", "workers": 4, "pps": 9000000.500, "gbps": 105.984}
+  ]
+}
+"#;
+    const ADMISSION: &str = r#"{
+  "schema_version": 1,
+  "bench": "admission",
+  "rows": [
+    {"corpus": "mixed-stock-novel", "mode": "whole-graph", "requests": 100000, "mean_ns": 81234.500, "p50_ns": 74000.000, "p99_ns": 190000.000, "summary_hits": 0},
+    {"corpus": "mixed-stock-novel", "mode": "compositional", "requests": 100000, "mean_ns": 31234.500, "p50_ns": 28000.000, "p99_ns": 90000.000, "summary_hits": 99000}
+  ]
+}
+"#;
+    const FLEET: &str = r#"{
+  "schema_version": 1,
+  "bench": "fleet",
+  "rows": [
+    {"scenario": "mixed-stock-novel", "nodes": 1001, "platforms": 400, "placements": 64, "placement_p50_ns": 45000.000, "placement_p99_ns": 210000.000, "migrations": 8, "downtime_p50_ns": 70000000.000, "downtime_p99_ns": 75000000.000},
+    {"scenario": "stock", "nodes": 1001, "platforms": 400, "placements": 32, "placement_p50_ns": 20000.000, "placement_p99_ns": 90000.000, "migrations": 0, "downtime_p50_ns": 0.000, "downtime_p99_ns": 0.000}
+  ]
+}
+"#;
+    const SCENARIOS: &str = r#"{
+  "schema_version": 1,
+  "bench": "scenarios",
+  "rows": [
+    {"scenario": "kill-pop", "tenants": 40, "rehomed": 38, "rehome_p50_ns": 50000000.000, "rehome_p99_ns": 52000000.000, "link_drops": 120},
+    {"scenario": "flash-crowd", "tenants": 40, "rehomed": 0, "rehome_p50_ns": 0.000, "rehome_p99_ns": 0.000, "link_drops": 4096}
+  ]
+}
+"#;
+
+    /// Parses `text`, asserts it round-trips byte for byte, and returns it.
+    fn roundtrip(text: &str) -> Snapshot {
+        let snap = Snapshot::parse(text).unwrap();
+        assert_eq!(snap.to_json(), text);
+        snap
+    }
+
+    /// Asserts that each `(from, to)` edit applies to `text` and makes
+    /// the parser reject the result.
+    fn assert_edits_rejected(text: &str, edits: &[(&str, &str)]) {
+        for (from, to) in edits {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "edit {from:?} applies");
+            assert!(Snapshot::parse(&bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    /// Re-labels snapshot JSON as bench `bench`'s.
+    fn retag(text: &str, bench: &str) -> String {
+        let old = Snapshot::parse(text).unwrap().bench();
+        text.replace(
+            &format!("\"bench\": \"{old}\""),
+            &format!("\"bench\": \"{bench}\""),
+        )
     }
 
     #[test]
     fn snapshot_roundtrips_through_parser() {
-        let s = sample();
-        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "parallel_scaling");
-        assert_eq!(parsed.rows.len(), 3);
-        assert_eq!(parsed.rows[1].mode, "compiled");
-        assert_eq!(parsed.rows[2].workers, 4);
-        assert!((parsed.rows[0].pps - 1_234_567.891).abs() < 0.01);
+        let mut built = Snapshot::new("parallel_scaling");
+        for (corpus, mode, workers, pps, gbps) in [
+            ("consolidated", "interpreted", 1u64, 1_234_567.891, 0.632),
+            ("consolidated", "compiled", 1, 2_500_000.0, 1.28),
+            ("fig12-firewall", "compiled", 4, 9_000_000.5, 105.984),
+        ] {
+            built.row([
+                corpus.into(),
+                mode.into(),
+                workers.into(),
+                pps.into(),
+                gbps.into(),
+            ]);
+        }
+        assert_eq!(built.to_json(), THROUGHPUT);
+
+        let parsed = roundtrip(THROUGHPUT);
+        assert_eq!(parsed.bench(), "parallel_scaling");
+        assert_eq!(parsed.rows().len(), 3);
+        assert_eq!(parsed.rows()[1][1], Cell::from("compiled"));
+        assert_eq!(parsed.rows()[2][2], Cell::Int(4));
+        let key = [
+            ("corpus", Cell::from("consolidated")),
+            ("mode", Cell::from("interpreted")),
+        ];
+        assert!((parsed.num(&key, "pps").unwrap() - 1_234_567.891).abs() < 0.01);
+        // The getter reads number columns of matching rows only.
+        assert_eq!(parsed.num(&[("corpus", "nope".into())], "pps"), None);
+        assert_eq!(parsed.num(&key, "workers"), None);
     }
 
     #[test]
     fn parser_rejects_schema_violations() {
-        // Unknown mode.
-        let bad = sample().to_json().replace("interpreted", "jit");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Missing field.
-        let bad = sample().to_json().replace("\"workers\": 1,", "");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Wrong version.
-        let bad = sample()
-            .to_json()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(BenchSnapshot::parse(&bad).is_err());
-        // Not JSON at all.
-        assert!(BenchSnapshot::parse("pps go brr").is_err());
-        // Negative rate.
-        let mut s = BenchSnapshot::new("x");
-        s.row("c", "compiled", 1, -5.0, 0.0);
-        assert!(BenchSnapshot::parse(&s.to_json()).is_err());
+        assert_edits_rejected(
+            THROUGHPUT,
+            &[
+                ("interpreted", "jit"),
+                ("\"workers\": 1", "\"workers\": 0"),
+                ("\"workers\": 1", "\"workers\": 1.5"),
+                ("\"corpus\": \"consolidated\"", "\"corpus\": \"\""),
+                ("\"gbps\": 0.632", "\"gbps\": -0.632"),
+                ("\"schema_version\": 1", "\"schema_version\": 99"),
+                // Missing, unknown and repeated keys.
+                ("\"workers\": 4, ", ""),
+                ("\"gbps\": 0.632}", "\"gbps\": 0.632, \"note\": \"x\"}"),
+                (
+                    "\"pps\": 2500000.000,",
+                    "\"pps\": 2500000.000, \"pps\": 1.000,",
+                ),
+                ("\"rows\"", "\"extra\": 1, \"rows\""),
+            ],
+        );
+        assert!(Snapshot::parse("pps go brr").is_err());
+    }
+
+    #[test]
+    fn parser_applies_only_the_files_own_bench_schema() {
+        let files = [THROUGHPUT, ADMISSION, FLEET, SCENARIOS];
+        for a in files {
+            for b in files.into_iter().filter(|&b| b != a) {
+                let other = Snapshot::parse(b).unwrap().bench();
+                assert!(Snapshot::parse(&retag(a, other)).is_err());
+            }
+        }
+        // The two throughput benches share one column table.
+        assert!(Snapshot::parse(&retag(THROUGHPUT, "fig12_middlebox")).is_ok());
+        // A bench with no declared schema.
+        assert!(Snapshot::parse(&retag(THROUGHPUT, "warp_drive")).is_err());
+        assert!(Snapshot::parse(&retag(THROUGHPUT, "")).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn row_of_the_wrong_shape_panics() {
+        Snapshot::new("scenarios").row(["kill-pop".into(), 4.0.into()]);
     }
 
     #[test]
     fn json_reader_handles_scalars() {
         let v = super::json::parse(r#"{"a": true, "b": false, "c": null, "d": [1, "x"]}"#).unwrap();
         let obj = v.as_obj().unwrap();
-        assert_eq!(super::json::field(obj, "a").unwrap().as_bool(), Some(true));
-        assert_eq!(super::json::field(obj, "b").unwrap().as_bool(), Some(false));
-        assert!(super::json::field(obj, "d").unwrap().as_arr().unwrap()[1]
-            .as_str()
-            .is_some());
-        assert!(super::json::field(obj, "e").is_err());
-    }
-
-    fn admission_sample() -> AdmissionSnapshot {
-        let mut s = AdmissionSnapshot::new("admission");
-        s.row(
-            "mixed-stock-novel",
-            "whole-graph",
-            100_000,
-            81_234.5,
-            74_000.0,
-            190_000.0,
-            0,
-        );
-        s.row(
-            "mixed-stock-novel",
-            "compositional",
-            100_000,
-            31_234.5,
-            28_000.0,
-            90_000.0,
-            99_000,
-        );
-        s
+        let f = super::json::fields(obj, &["a", "b", "c", "d"]).unwrap();
+        assert_eq!(f[0].as_bool(), Some(true));
+        assert_eq!(f[1].as_bool(), Some(false));
+        assert!(f[3].as_arr().unwrap()[1].as_str().is_some());
+        assert!(super::json::fields(obj, &["a", "b", "c", "d", "e"]).is_err());
     }
 
     #[test]
     fn admission_snapshot_roundtrips_through_parser() {
-        let s = admission_sample();
-        let parsed = AdmissionSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "admission");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].mode, "whole-graph");
-        assert_eq!(parsed.rows[1].summary_hits, 99_000);
-        assert!((parsed.rows[1].mean_ns - 31_234.5).abs() < 0.01);
+        let parsed = roundtrip(ADMISSION);
+        assert_eq!(parsed.bench(), "admission");
+        assert_eq!(parsed.rows().len(), 2);
+        assert_eq!(parsed.rows()[0][1], Cell::from("whole-graph"));
+        assert_eq!(parsed.rows()[1][6], Cell::Int(99_000));
+        let mean = parsed.num(&[("mode", "compositional".into())], "mean_ns");
+        assert!((mean.unwrap() - 31_234.5).abs() < 0.01);
     }
 
     #[test]
     fn admission_parser_rejects_schema_violations() {
-        // Unknown mode.
-        let bad = admission_sample().to_json().replace("whole-graph", "vibes");
-        assert!(AdmissionSnapshot::parse(&bad).is_err());
-        // Missing field.
-        let bad = admission_sample()
-            .to_json()
-            .replace("\"requests\": 100000, ", "");
-        assert!(AdmissionSnapshot::parse(&bad).is_err());
-        // Inverted percentiles.
-        let mut s = AdmissionSnapshot::new("admission");
-        s.row("c", "compositional", 1, 5.0, 9.0, 4.0, 0);
-        assert!(AdmissionSnapshot::parse(&s.to_json()).is_err());
-        // The throughput parser must not accept the admission schema
-        // (and vice versa): the validator dispatches on whichever fits.
-        assert!(BenchSnapshot::parse(&admission_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&sample().to_json()).is_err());
-    }
-
-    fn fleet_sample() -> FleetSnapshot {
-        let mut s = FleetSnapshot::new("fleet");
-        s.row(
-            "mixed-stock-novel",
-            1_001,
-            400,
-            64,
-            45_000.0,
-            210_000.0,
-            8,
-            70_000_000.0,
-            75_000_000.0,
+        assert_edits_rejected(
+            ADMISSION,
+            &[
+                ("whole-graph", "vibes"),
+                ("\"requests\": 100000, ", ""),
+                ("\"requests\": 100000", "\"requests\": 0"),
+                // Inverted percentiles.
+                ("\"p99_ns\": 90000.000", "\"p99_ns\": 9.000"),
+            ],
         );
-        s.row("stock", 1_001, 400, 32, 20_000.0, 90_000.0, 0, 0.0, 0.0);
-        s
     }
 
     #[test]
     fn fleet_snapshot_roundtrips_through_parser() {
-        let s = fleet_sample();
-        let parsed = FleetSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "fleet");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].nodes, 1_001);
-        assert_eq!(parsed.rows[0].migrations, 8);
-        assert!((parsed.rows[0].downtime_p50_ns - 70_000_000.0).abs() < 0.01);
-        assert_eq!(parsed.rows[1].migrations, 0);
+        let parsed = roundtrip(FLEET);
+        assert_eq!(parsed.bench(), "fleet");
+        assert_eq!(parsed.rows().len(), 2);
+        assert_eq!(parsed.rows()[0][1], Cell::Int(1_001));
+        assert_eq!(parsed.rows()[0][6], Cell::Int(8));
+        let key = [("scenario", Cell::from("mixed-stock-novel"))];
+        assert!((parsed.num(&key, "downtime_p50_ns").unwrap() - 70_000_000.0).abs() < 0.01);
+        assert_eq!(parsed.rows()[1][6], Cell::Int(0));
     }
 
     #[test]
     fn fleet_parser_rejects_schema_violations() {
-        // Missing field.
-        let bad = fleet_sample().to_json().replace("\"nodes\": 1001, ", "");
-        assert!(FleetSnapshot::parse(&bad).is_err());
-        // More platforms than nodes.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 11, 1, 1.0, 2.0, 0, 0.0, 0.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // Inverted placement percentiles.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 4, 1, 9.0, 4.0, 0, 0.0, 0.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // Downtime without migrations.
-        let mut s = FleetSnapshot::new("fleet");
-        s.row("x", 10, 4, 1, 1.0, 2.0, 0, 3.0, 4.0);
-        assert!(FleetSnapshot::parse(&s.to_json()).is_err());
-        // The three schemas stay mutually exclusive: the validator
-        // dispatches on whichever parser accepts.
-        assert!(BenchSnapshot::parse(&fleet_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&fleet_sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&admission_sample().to_json()).is_err());
-    }
-
-    fn scenario_sample() -> ScenarioSnapshot {
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("kill-pop", 40, 38, 50_000_000.0, 52_000_000.0, 120);
-        s.row("flash-crowd", 40, 0, 0.0, 0.0, 4_096);
-        s
+        assert_edits_rejected(
+            FLEET,
+            &[
+                // Missing field.
+                ("\"nodes\": 1001, ", ""),
+                // More platforms than nodes.
+                ("\"platforms\": 400", "\"platforms\": 2000"),
+                // Inverted placement percentiles.
+                (
+                    "\"placement_p99_ns\": 210000.000",
+                    "\"placement_p99_ns\": 1.000",
+                ),
+                // Inverted downtime percentiles.
+                (
+                    "\"downtime_p99_ns\": 75000000.000",
+                    "\"downtime_p99_ns\": 1.000",
+                ),
+                // Downtime without migrations.
+                ("\"migrations\": 8", "\"migrations\": 0"),
+            ],
+        );
     }
 
     #[test]
     fn scenario_snapshot_roundtrips_through_parser() {
-        let s = scenario_sample();
-        let parsed = ScenarioSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.bench, "scenarios");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].rehomed, 38);
-        assert!((parsed.rows[0].rehome_p50_ns - 50_000_000.0).abs() < 0.01);
-        assert_eq!(parsed.rows[1].link_drops, 4_096);
+        let parsed = roundtrip(SCENARIOS);
+        assert_eq!(parsed.bench(), "scenarios");
+        assert_eq!(parsed.rows().len(), 2);
+        assert_eq!(parsed.rows()[0][2], Cell::Int(38));
+        let key = [("scenario", Cell::from("kill-pop"))];
+        assert!((parsed.num(&key, "rehome_p50_ns").unwrap() - 50_000_000.0).abs() < 0.01);
+        assert_eq!(parsed.rows()[1][5], Cell::Int(4_096));
     }
 
     #[test]
     fn scenario_parser_rejects_schema_violations() {
-        // Missing field.
-        let bad = scenario_sample().to_json().replace("\"tenants\": 40, ", "");
-        assert!(ScenarioSnapshot::parse(&bad).is_err());
-        // More re-homes than tenants.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 5, 1.0, 2.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // Inverted percentiles.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 2, 9.0, 4.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // Downtime without re-homes.
-        let mut s = ScenarioSnapshot::new("scenarios");
-        s.row("x", 4, 0, 1.0, 2.0, 0);
-        assert!(ScenarioSnapshot::parse(&s.to_json()).is_err());
-        // The four schemas stay mutually exclusive: the validator
-        // dispatches on whichever parser accepts.
-        assert!(BenchSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(AdmissionSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(FleetSnapshot::parse(&scenario_sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&admission_sample().to_json()).is_err());
-        assert!(ScenarioSnapshot::parse(&fleet_sample().to_json()).is_err());
+        assert_edits_rejected(
+            SCENARIOS,
+            &[
+                // Missing field.
+                ("\"tenants\": 40, ", ""),
+                // More re-homes than tenants.
+                ("\"rehomed\": 38", "\"rehomed\": 41"),
+                // Inverted percentiles.
+                (
+                    "\"rehome_p99_ns\": 52000000.000",
+                    "\"rehome_p99_ns\": 1.000",
+                ),
+                // Downtime without re-homes.
+                ("\"rehomed\": 38", "\"rehomed\": 0"),
+            ],
+        );
     }
 
     #[test]
     fn non_finite_rates_serialize_as_zero() {
-        let mut s = BenchSnapshot::new("x");
-        s.row("c", "compiled", 1, f64::NAN, f64::INFINITY);
-        let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
-        assert_eq!(parsed.rows[0].pps, 0.0);
-        assert_eq!(parsed.rows[0].gbps, 0.0);
+        let mut s = Snapshot::new("parallel_scaling");
+        s.row([
+            "c".into(),
+            "compiled".into(),
+            1u64.into(),
+            f64::NAN.into(),
+            f64::INFINITY.into(),
+        ]);
+        let parsed = Snapshot::parse(&s.to_json()).unwrap();
+        assert_eq!(parsed.rows()[0][3], Cell::Num(0.0));
+        assert_eq!(parsed.rows()[0][4], Cell::Num(0.0));
+    }
+
+    #[test]
+    fn committed_snapshots_roundtrip_byte_for_byte() {
+        for (bench, text) in [
+            (
+                "parallel_scaling",
+                include_str!("../../../BENCH_parallel_scaling.json"),
+            ),
+            (
+                "fig12_middlebox",
+                include_str!("../../../BENCH_fig12_middlebox.json"),
+            ),
+            ("admission", include_str!("../../../BENCH_admission.json")),
+            ("fleet", include_str!("../../../BENCH_fleet.json")),
+            ("scenarios", include_str!("../../../BENCH_scenarios.json")),
+        ] {
+            let snap = Snapshot::parse(text).unwrap_or_else(|e| panic!("BENCH_{bench}.json: {e}"));
+            assert_eq!(snap.bench(), bench);
+            assert!(!snap.rows().is_empty(), "BENCH_{bench}.json has rows");
+            assert_eq!(snap.to_json(), text, "BENCH_{bench}.json round-trips");
+        }
     }
 }

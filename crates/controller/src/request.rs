@@ -70,23 +70,6 @@ impl std::fmt::Display for RequestParseError {
 impl std::error::Error for RequestParseError {}
 
 impl ClientRequest {
-    /// Builds a request programmatically.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ClientRequest::click or ClientRequest::stock with .require()/.requires_str()"
-    )]
-    pub fn new(
-        module_name: impl Into<String>,
-        config: ModuleConfig,
-        requirements: Vec<Requirement>,
-    ) -> ClientRequest {
-        ClientRequest {
-            module_name: module_name.into(),
-            config,
-            requirements,
-        }
-    }
-
     /// A request for a Click configuration, with no requirements yet.
     /// Chain [`ClientRequest::require`] or [`ClientRequest::requires_str`]
     /// to add them:

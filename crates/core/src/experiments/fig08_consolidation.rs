@@ -91,17 +91,22 @@ mod tests {
         // The compiled demux keeps the plateau flat; many tenants may
         // cost some throughput but never an order of magnitude (and never
         // a gain beyond noise).
-        let lo: f64 = (0..3)
-            .map(|_| consolidation_sweep(&[4], 512, 5)[0].pps)
-            .sum::<f64>()
-            / 3.0;
-        let hi: f64 = (0..3)
-            .map(|_| consolidation_sweep(&[252], 512, 5)[0].pps)
-            .sum::<f64>()
-            / 3.0;
+        //
+        // Each pair measures both tenant counts back to back, so a slow
+        // spell of the host (other tests running beside this one) hits
+        // both sides of a ratio; the median pair is judged.
+        let mut ratios: Vec<f64> = (0..5)
+            .map(|_| {
+                let lo = consolidation_sweep(&[4], 512, 5)[0].pps;
+                let hi = consolidation_sweep(&[252], 512, 5)[0].pps;
+                hi / lo
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let ratio = ratios[ratios.len() / 2];
         assert!(
-            hi > lo * 0.3 && hi < lo * 1.3,
-            "252 tenants vs 4 tenants: {hi} vs {lo}"
+            ratio > 0.3 && ratio < 1.3,
+            "252 tenants vs 4 tenants: median pps ratio {ratio} (pairs {ratios:?})"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! `FleetDriver`: the one place fleet time advances.
 //!
-//! PR 9's fleet grew an ad-hoc control surface — callers hand-rolled
-//! `inject` / `inject_at` / `advance` / `migrate` / `rebalance` /
-//! `reclaim_idle` loops, each with its own ordering bugs waiting to
+//! Driving a fleet by hand means interleaving `inject` / `inject_at` /
+//! `advance` / `migrate` / `rebalance` / `reclaim_idle` calls in the
+//! right order, and every hand-rolled loop is an ordering bug waiting to
 //! happen. The driver collapses that into a builder + event loop:
 //!
 //! ```
@@ -26,8 +26,13 @@
 //! records.
 //!
 //! A zero-event run is byte- and order-identical to the hand-rolled
-//! inject/advance pattern it replaces (pinned by a differential test),
-//! so the old surface could be deprecated rather than re-specified.
+//! inject/advance pattern it replaces, with or without an empty
+//! [`Scenario`] attached (pinned by a differential test). That pattern
+//! now lives only inside the crate: the fleet's per-packet and periodic
+//! operations are crate-private, and [`FleetDriver`] is the way to
+//! schedule them. [`Fleet::advance`] stays public for one job: draining
+//! fabric packets and migrations still in flight when a run hands the
+//! fleet back at its horizon.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,9 +48,9 @@ use crate::scenario::{
 };
 use crate::traffic::TrafficMatrix;
 
-/// Default failover detection delay before stranded tenants re-home:
-/// 50 ms, a conservative health-check timeout.
-const DEFAULT_DETECTION_NS: SimTime = 50_000_000;
+/// Failover detection delay before stranded tenants re-home: 50 ms, a
+/// conservative health-check timeout.
+const DETECTION_NS: SimTime = 50_000_000;
 
 /// One timeline item. Processing order is `(at, seq)` — insertion
 /// order breaks simultaneity ties, so runs are fully deterministic.
@@ -60,7 +65,7 @@ enum Work {
     Migrate { addr: Ipv4Addr, to: NodeId },
     /// Apply scenario event `idx` of the attached scenario.
     Event { idx: usize },
-    /// Re-home a stranded tenant (scheduled `detection_ns` after its
+    /// Re-home a stranded tenant (scheduled `DETECTION_NS` after its
     /// platform died).
     Rehome {
         addr: Ipv4Addr,
@@ -129,7 +134,6 @@ pub struct DriverRun {
 pub struct FleetDriver<'h> {
     fleet: Fleet,
     horizon: SimTime,
-    detection_ns: SimTime,
     seq: u64,
     items: BinaryHeap<Reverse<Item>>,
     scenario: Option<Scenario>,
@@ -147,7 +151,6 @@ impl<'h> FleetDriver<'h> {
         FleetDriver {
             fleet,
             horizon: 0,
-            detection_ns: DEFAULT_DETECTION_NS,
             seq: 0,
             items: BinaryHeap::new(),
             scenario: None,
@@ -174,13 +177,6 @@ impl<'h> FleetDriver<'h> {
     /// silently drops off the end.
     pub fn until(mut self, horizon: SimTime) -> Self {
         self.horizon = self.horizon.max(horizon);
-        self
-    }
-
-    /// Failover detection delay between a platform dying and its
-    /// tenants re-homing (default 50 ms).
-    pub fn failover_detection(mut self, ns: SimTime) -> Self {
-        self.detection_ns = ns;
         self
     }
 
@@ -268,7 +264,6 @@ impl<'h> FleetDriver<'h> {
         let FleetDriver {
             mut fleet,
             horizon,
-            detection_ns,
             mut seq,
             mut items,
             scenario,
@@ -372,7 +367,7 @@ impl<'h> FleetDriver<'h> {
             // packets keep the inject-then-advance order of the
             // hand-rolled loop, which the differential pin freezes.
             if !matches!(item.work, Work::Packet { .. }) {
-                out.extend(fleet.advance_impl(at));
+                out.extend(fleet.advance(at));
             }
             match item.work {
                 Work::Packet {
@@ -384,8 +379,8 @@ impl<'h> FleetDriver<'h> {
                         traffic_injected += 1;
                     }
                     match ingress {
-                        None => out.extend(fleet.inject_impl(pkt, at)),
-                        Some(node) => match fleet.inject_at_impl(node, pkt, at) {
+                        None => out.extend(fleet.inject(pkt, at)),
+                        Some(node) => match fleet.inject_at(node, pkt, at) {
                             Ok(tx) => out.extend(tx),
                             Err(_) => errors += 1,
                         },
@@ -410,14 +405,14 @@ impl<'h> FleetDriver<'h> {
                         push(
                             &mut items,
                             &mut seq,
-                            at + detection_ns,
+                            at + DETECTION_NS,
                             Work::Rehome {
                                 addr,
                                 dead,
                                 killed_at: at,
                             },
                         );
-                        horizon = horizon.max(at + detection_ns);
+                        horizon = horizon.max(at + DETECTION_NS);
                     }
                     if outcome.demand_changed {
                         if let Some(m) = traffic.as_ref() {
@@ -460,14 +455,14 @@ impl<'h> FleetDriver<'h> {
                     rehomes.push(rehome_tenant(&mut fleet, h, addr, dead, killed_at, at));
                 }
                 Work::Rebalance { threshold } => {
-                    rebalance_moves.extend(fleet.rebalance_impl(at, threshold));
+                    rebalance_moves.extend(fleet.rebalance(at, threshold));
                 }
-                Work::Reclaim { idle_ns } => fleet.reclaim_idle_impl(at, idle_ns),
+                Work::Reclaim { idle_ns } => fleet.reclaim_idle(at, idle_ns),
                 Work::Tick { idx } => (ticks[idx].1)(&mut fleet, at),
             }
-            out.extend(fleet.advance_impl(at));
+            out.extend(fleet.advance(at));
         }
-        out.extend(fleet.advance_impl(horizon));
+        out.extend(fleet.advance(horizon));
 
         let stats = fleet.stats();
         DriverRun {
@@ -525,40 +520,79 @@ mod tests {
         Fleet::new(&t)
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn driver_matches_manual_inject_advance_loop() {
-        // The API-redesign pin: a zero-event driver run is byte- and
-        // order-identical to the hand-rolled loop it replaces.
-        let mut manual = Fleet::single_host(4 * 1024);
-        let platform = manual.platforms()[0];
-        manual
-            .register(platform, filter_entry(TENANT, true))
-            .unwrap();
-        let mut driven = Fleet::single_host(4 * 1024);
-        driven
-            .register(platform, filter_entry(TENANT, true))
-            .unwrap();
-
-        let schedule: Vec<(SimTime, Packet)> = (0..6)
-            .map(|i| (i * 150_000_000, udp_to(TENANT, i as u16 + 1)))
-            .collect();
-
+    /// Runs `schedule` through the hand-rolled inject/advance loop on one
+    /// fleet and through a `FleetDriver` on an identical one, and asserts
+    /// the two are byte-, order- and stats-identical. A `None` ingress is
+    /// home delivery.
+    fn assert_driver_matches_manual(
+        build: impl Fn() -> Fleet,
+        schedule: Vec<(SimTime, Option<NodeId>, Packet)>,
+        horizon: SimTime,
+        scenario: Option<Scenario>,
+    ) {
+        let mut manual = build();
         let mut manual_out = Vec::new();
-        for (at, pkt) in &schedule {
-            manual_out.extend(manual.inject(pkt.clone(), *at));
+        for (at, ingress, pkt) in &schedule {
+            match ingress {
+                None => manual_out.extend(manual.inject(pkt.clone(), *at)),
+                Some(node) => manual_out.extend(manual.inject_at(*node, pkt.clone(), *at).unwrap()),
+            }
             manual_out.extend(manual.advance(*at));
         }
-        manual_out.extend(manual.advance(2_000_000_000));
+        manual_out.extend(manual.advance(horizon));
 
-        let mut driver = FleetDriver::new(driven).until(2_000_000_000);
-        for (at, pkt) in schedule {
-            driver = driver.inject(at, pkt);
+        let mut driver = FleetDriver::new(build()).until(horizon);
+        if let Some(scenario) = scenario {
+            driver = driver.events(scenario);
+        }
+        for (at, ingress, pkt) in schedule {
+            driver = match ingress {
+                None => driver.inject(at, pkt),
+                Some(node) => driver.inject_at(at, node, pkt),
+            };
         }
         let run = driver.run();
 
+        assert!(!manual_out.is_empty(), "the schedule produces output");
         assert_eq!(run.out, manual_out, "byte- and order-identical");
-        assert_eq!(run.stats, manual.stats());
+        assert_eq!(run.stats, manual.stats(), "stats-identical");
+        assert!(run.rehomes.is_empty() && run.consolidation_moves.is_empty());
+    }
+
+    #[test]
+    fn driver_matches_manual_inject_advance_loop() {
+        // The API-redesign pin: a zero-event driver run is byte- and
+        // order-identical to the hand-rolled loop it replaces.
+        //
+        // Home delivery on a single host, no scenario attached.
+        let single_host = || {
+            let mut f = Fleet::single_host(4 * 1024);
+            let platform = f.platforms()[0];
+            f.register(platform, filter_entry(TENANT, true)).unwrap();
+            f
+        };
+        let schedule = (0..6)
+            .map(|i| (i * 150_000_000, None, udp_to(TENANT, i as u16 + 1)))
+            .collect();
+        assert_driver_matches_manual(single_host, schedule, 2_000_000_000, None);
+
+        // Home delivery mixed with fabric ingress at the remote PoP, with
+        // an empty scenario attached.
+        let two_pops = || {
+            let mut f = small_fleet();
+            let home = f.platforms()[0];
+            f.register(home, filter_entry(TENANT, true)).unwrap();
+            f
+        };
+        let remote = two_pops().platforms()[1];
+        let schedule = (0..10u64)
+            .map(|i| {
+                let ingress = (i % 3 == 2).then_some(remote);
+                (i * 120_000_000, ingress, udp_to(TENANT, i as u16 + 1))
+            })
+            .collect();
+        let noop = Some(Scenario::new("noop"));
+        assert_driver_matches_manual(two_pops, schedule, 4_000_000_000, noop);
     }
 
     #[test]

@@ -635,14 +635,9 @@ impl Fleet {
     /// Hands the fleet a packet at virtual time `now`, delivered at its
     /// tenant's home platform with no fabric cost (the single-host
     /// oracle path). Returns synchronous transmissions as
-    /// `(platform, iface, packet)`.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::inject`); direct calls remain for oracles")]
-    pub fn inject(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
-        self.inject_impl(pkt, now)
-    }
-
-    pub(crate) fn inject_impl(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
+    /// `(platform, iface, packet)`. Callers schedule this through
+    /// [`FleetDriver::inject`](crate::FleetDriver::inject).
+    pub(crate) fn inject(&mut self, pkt: Packet, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         self.stats.injected += 1;
         let primary = self.dest_platform(&pkt);
         let dst = self.resolve_dest(primary, &pkt);
@@ -656,18 +651,9 @@ impl Fleet {
     /// packet crosses the fabric — paying the path's serialization and
     /// propagation delay on a FIFO link, subject to the queue cap — and
     /// is delivered by the next [`Fleet::advance`] past its arrival.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::inject_at`); direct calls remain for oracles")]
-    pub fn inject_at(
-        &mut self,
-        ingress: NodeId,
-        pkt: Packet,
-        now: SimTime,
-    ) -> Result<Vec<(NodeId, u16, Packet)>, FleetError> {
-        self.inject_at_impl(ingress, pkt, now)
-    }
-
-    pub(crate) fn inject_at_impl(
+    /// Callers schedule this through
+    /// [`FleetDriver::inject_at`](crate::FleetDriver::inject_at).
+    pub(crate) fn inject_at(
         &mut self,
         ingress: NodeId,
         pkt: Packet,
@@ -926,13 +912,12 @@ impl Fleet {
     /// destination stopped serving), drives in-flight migrations through
     /// their stages, and advances every host. Returns all transmissions
     /// as `(platform, iface, packet)`.
-    #[deprecated(note = "drive the fleet through `FleetDriver::run`, which \
-                         advances time for you; direct calls remain for oracles")]
+    ///
+    /// [`FleetDriver::run`](crate::FleetDriver::run) advances time for
+    /// you up to its horizon. Call this on the fleet it hands back to
+    /// drain fabric packets and migrations still in flight at the
+    /// horizon; it is the only way to settle them.
     pub fn advance(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
-        self.advance_impl(now)
-    }
-
-    pub(crate) fn advance_impl(&mut self, now: SimTime) -> Vec<(NodeId, u16, Packet)> {
         let mut out = Vec::new();
         while let Some(Reverse(ev)) = self.events.peek() {
             if ev.at > now {
@@ -1084,13 +1069,9 @@ impl Fleet {
     /// Reclaims idle VMs on every host (see
     /// [`SwitchController::reclaim_idle`]). Tenants mid-migration are
     /// not affected: their VM is already suspended or in flight.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::reclaim_every`); direct calls remain for oracles")]
-    pub fn reclaim_idle(&mut self, now: SimTime, idle_ns: SimTime) {
-        self.reclaim_idle_impl(now, idle_ns)
-    }
-
-    pub(crate) fn reclaim_idle_impl(&mut self, now: SimTime, idle_ns: SimTime) {
+    /// Callers schedule this through
+    /// [`FleetDriver::reclaim_every`](crate::FleetDriver::reclaim_every).
+    pub(crate) fn reclaim_idle(&mut self, now: SimTime, idle_ns: SimTime) {
         for site in self.sites.values_mut() {
             site.switch.reclaim_idle(&mut site.host, now, idle_ns);
         }
@@ -1117,13 +1098,9 @@ impl Fleet {
     ///
     /// Both modes are fully deterministic: hottest/coldest break ties on
     /// the lower platform id; tenant ties break on address order.
-    #[deprecated(note = "drive the fleet through `FleetDriver` (schedule with \
-                         `FleetDriver::rebalance_every`); direct calls remain for oracles")]
-    pub fn rebalance(&mut self, now: SimTime, threshold: usize) -> Vec<(Ipv4Addr, NodeId, NodeId)> {
-        self.rebalance_impl(now, threshold)
-    }
-
-    pub(crate) fn rebalance_impl(
+    /// Callers schedule this through
+    /// [`FleetDriver::rebalance_every`](crate::FleetDriver::rebalance_every).
+    pub(crate) fn rebalance(
         &mut self,
         now: SimTime,
         threshold: usize,
@@ -1270,7 +1247,6 @@ impl Fleet {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // The oracle tests pin the raw inject/advance surface.
 mod tests {
     use super::*;
     use innet_click::ClickConfig;

@@ -97,24 +97,6 @@ impl NativeRunner {
         })
     }
 
-    /// Publishes this runner's counters into `registry` (Prometheus
-    /// namespace `innet_native_*`): packets in, packets transmitted, and
-    /// a wall-clock run-duration histogram. The inner router's counters
-    /// are published too (`innet_click_*`). Only runs after attachment
-    /// are counted.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure metrics up front: RunnerConfig::new().metrics(&registry).native(&cfg)"
-    )]
-    pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.engine.attach_metrics(registry);
-        self.metrics = Some(NativeMetrics {
-            packets: registry.counter("innet_native_packets_total"),
-            transmitted: registry.counter("innet_native_transmitted_total"),
-            run_ns: registry.histogram("innet_native_run_ns"),
-        });
-    }
-
     /// Access to the underlying interpreted router (for `element_as`
     /// counter inspection). `None` in compiled mode: the plan consumed
     /// its element instances during lowering.

@@ -12,8 +12,8 @@
 //!   ([`FlowKey::shard_of`]), so all packets of a flow traverse the same
 //!   replica in arrival order and per-flow output order is preserved;
 //! * hand-off happens in batches over bounded FIFO rings, which
-//!   back-pressure the dispatcher by default or count drops in lossy
-//!   mode.
+//!   back-pressure the dispatcher: a slow worker blocks it instead of
+//!   losing packets.
 //!
 //! How much state a configuration keeps decides how it shards. The
 //! element registry's field-effect summaries place every class on the
@@ -38,8 +38,8 @@ use innet_click::{ClickConfig, Registry, Router, RouterError, Shardability};
 use innet_packet::{FlowKey, Packet};
 
 use crate::engine::Engine;
-use crate::runner::RunnerConfig;
-use crate::spsc::{self, TrySendError};
+use crate::runner::{RunnerConfig, DEFAULT_RING_CAPACITY};
+use crate::spsc;
 
 /// Virtual-time step per packet, matching
 /// [`NativeRunner::run`](crate::NativeRunner::run): 1 µs, so token
@@ -53,7 +53,9 @@ pub struct ParallelStats {
     pub packets: u64,
     /// Packets transmitted out of all replicas.
     pub transmitted: u64,
-    /// Packets dropped on full worker rings (lossy mode only).
+    /// Packets lost because their worker was gone when the batch was
+    /// dispatched (`innet_parallel_drops_total{reason="worker_gone"}`);
+    /// zero in a healthy run.
     pub dropped: u64,
     /// Wall-clock nanoseconds elapsed.
     pub elapsed_ns: u64,
@@ -63,9 +65,9 @@ pub struct ParallelStats {
 
 impl ParallelStats {
     /// *Delivered* rate in packets/second — transmitted packets over
-    /// elapsed time; 0.0 when no time elapsed. In lossy-ring mode this
-    /// excludes ring drops (the old offered-based figure inflated
-    /// throughput exactly when the system was overloaded).
+    /// elapsed time; 0.0 when no time elapsed. Packets that did not make
+    /// it through are excluded (an offered-based figure would inflate
+    /// throughput exactly when the run went wrong).
     pub fn pps(&self) -> f64 {
         if self.elapsed_ns == 0 {
             return 0.0;
@@ -103,8 +105,8 @@ struct ParallelMetrics {
     batch_size: innet_obs::Histogram,
     /// Wall-clock duration of each `run` call.
     run_ns: innet_obs::Histogram,
-    /// Packets dropped on full rings.
-    drops_ring_full: innet_obs::Counter,
+    /// Packets lost to a worker that was gone.
+    drops_worker_gone: innet_obs::Counter,
 }
 
 impl ParallelMetrics {
@@ -121,9 +123,9 @@ impl ParallelMetrics {
                 .collect(),
             batch_size: registry.histogram("innet_parallel_batch_size"),
             run_ns: registry.histogram("innet_parallel_run_ns"),
-            drops_ring_full: registry
+            drops_worker_gone: registry
                 .labeled_counter("innet_parallel_drops_total", "reason")
-                .with("ring_full"),
+                .with("worker_gone"),
         }
     }
 }
@@ -136,8 +138,6 @@ pub struct ParallelRunner {
     requested_workers: usize,
     shardability: Shardability,
     batch: usize,
-    lossy: bool,
-    ring_capacity: usize,
     metrics: Option<ParallelMetrics>,
 }
 
@@ -171,8 +171,6 @@ impl ParallelRunner {
             requested_workers: config.workers,
             shardability,
             batch: config.batch,
-            lossy: config.lossy_rings,
-            ring_capacity: config.ring_capacity,
             metrics: config
                 .metrics
                 .as_ref()
@@ -242,8 +240,6 @@ impl ParallelRunner {
     ) -> (ParallelStats, Vec<(u16, Packet)>) {
         let workers = self.engines.len();
         let batch = self.batch;
-        let lossy = self.lossy;
-        let ring_capacity = self.ring_capacity;
         let metrics = self.metrics.clone();
         let start = Instant::now();
         let mut dropped = 0u64;
@@ -254,7 +250,7 @@ impl ParallelRunner {
             let mut senders = Vec::with_capacity(workers);
             let mut handles = Vec::with_capacity(workers);
             for (w, engine) in self.engines.iter_mut().enumerate() {
-                let (tx, rx) = spsc::ring::<Vec<Packet>>(ring_capacity);
+                let (tx, rx) = spsc::ring::<Vec<Packet>>(DEFAULT_RING_CAPACITY);
                 senders.push(tx);
                 let worker_metrics = metrics
                     .as_ref()
@@ -308,13 +304,13 @@ impl ParallelRunner {
                     if pending[shard].len() >= batch {
                         let full =
                             std::mem::replace(&mut pending[shard], Vec::with_capacity(batch));
-                        dropped += dispatch(&senders[shard], full, lossy, shard, &metrics);
+                        dropped += dispatch(&senders[shard], full, shard, &metrics);
                     }
                 }
             }
             for (shard, rest) in pending.into_iter().enumerate() {
                 if !rest.is_empty() {
-                    dropped += dispatch(&senders[shard], rest, lossy, shard, &metrics);
+                    dropped += dispatch(&senders[shard], rest, shard, &metrics);
                 }
             }
             // Hang up: each worker drains its ring, then returns.
@@ -342,32 +338,27 @@ impl ParallelRunner {
     }
 }
 
-/// Sends one batch to one worker ring, honoring the loss mode. Returns
-/// the number of packets dropped (lossy mode with a full ring).
+/// Sends one batch to one worker ring, blocking while the ring is full.
+/// Returns the number of packets lost because the worker was gone.
+// Kept out of line: inlined into the per-packet loop of `run_inner`, it
+// slowed the flow-sharded path by about 5% (`dp-nat-churn`, 2 CPUs).
+#[inline(never)]
 fn dispatch(
     sender: &spsc::RingSender<Vec<Packet>>,
     batch: Vec<Packet>,
-    lossy: bool,
     shard: usize,
     metrics: &Option<ParallelMetrics>,
 ) -> u64 {
     let size = batch.len() as u64;
-    let dropped = if lossy {
-        match sender.try_send(batch) {
-            Ok(()) => 0,
-            Err(TrySendError::Full(b)) | Err(TrySendError::Disconnected(b)) => b.len() as u64,
-        }
-    } else {
-        match sender.send(batch) {
-            Ok(()) => 0,
-            Err(b) => b.len() as u64,
-        }
+    let dropped = match sender.send(batch) {
+        Ok(()) => 0,
+        Err(b) => b.len() as u64,
     };
     if let Some(m) = metrics {
         m.batch_size.observe(size);
         m.queue_depth[shard].set(sender.len() as i64);
         if dropped > 0 {
-            m.drops_ring_full.add(dropped);
+            m.drops_worker_gone.add(dropped);
         }
     }
     dropped
@@ -491,20 +482,16 @@ mod tests {
     }
 
     #[test]
-    fn lossy_rings_count_drops_by_reason() {
+    fn batches_for_a_gone_worker_count_as_worker_gone_drops() {
         let registry = innet_obs::Registry::new();
-        // Capacity 1 ring and a slow consumer can't be guaranteed to
-        // drop deterministically, so drive the sender directly: fill the
-        // ring by never consuming.
-        let (tx, _rx) = spsc::ring::<Vec<Packet>>(1);
-        let m = ParallelMetrics::new(&registry, 1);
-        let metrics = Some(m);
-        let d0 = dispatch(&tx, trace(4), true, 0, &metrics);
-        let d1 = dispatch(&tx, trace(4), true, 0, &metrics);
-        assert_eq!(d0, 0);
-        assert_eq!(d1, 4);
+        let metrics = Some(ParallelMetrics::new(&registry, 1));
+        let (tx, rx) = spsc::ring::<Vec<Packet>>(1);
+        assert_eq!(dispatch(&tx, trace(4), 0, &metrics), 0);
+        drop(rx);
+        assert_eq!(dispatch(&tx, trace(3), 0, &metrics), 3);
         let drops = registry.labeled_counter("innet_parallel_drops_total", "reason");
-        assert_eq!(drops.get("ring_full"), 4);
+        assert_eq!(drops.get("worker_gone"), 3);
+        assert_eq!(drops.get("ring_full"), 0);
     }
 
     #[test]

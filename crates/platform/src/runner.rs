@@ -29,20 +29,18 @@ use crate::parallel::ParallelRunner;
 /// small enough not to distort latency in the simulated workloads.
 pub const DEFAULT_BATCH: usize = 32;
 
-/// Default per-worker ring capacity, counted in *batches*.
+/// Per-worker ring capacity, counted in *batches*. Rings are lossless:
+/// the dispatcher blocks while a worker's ring is full.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
 /// Builder describing how a runner should execute a configuration:
-/// worker count, dispatch batch size, metrics registry, and ring
-/// behavior under overload. Finish with [`RunnerConfig::native`] or
-/// [`RunnerConfig::parallel`].
+/// engine, worker count, dispatch batch size, and metrics registry.
+/// Finish with [`RunnerConfig::native`] or [`RunnerConfig::parallel`].
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
     pub(crate) workers: usize,
     pub(crate) batch: usize,
     pub(crate) metrics: Option<innet_obs::Registry>,
-    pub(crate) lossy_rings: bool,
-    pub(crate) ring_capacity: usize,
     pub(crate) compiled: bool,
 }
 
@@ -54,14 +52,12 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// The default execution profile: one worker, batch of
-    /// [`DEFAULT_BATCH`], no metrics, lossless rings.
+    /// [`DEFAULT_BATCH`], no metrics, interpreted engine.
     pub fn new() -> RunnerConfig {
         RunnerConfig {
             workers: 1,
             batch: DEFAULT_BATCH,
             metrics: None,
-            lossy_rings: false,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             compiled: false,
         }
     }
@@ -105,22 +101,6 @@ impl RunnerConfig {
         self
     }
 
-    /// Switches worker rings from lossless backpressure (the default:
-    /// the dispatcher blocks when a worker falls behind) to lossy
-    /// drop-on-full, counted under
-    /// `innet_parallel_drops_total{reason="ring_full"}`.
-    pub fn lossy_rings(mut self, lossy: bool) -> RunnerConfig {
-        self.lossy_rings = lossy;
-        self
-    }
-
-    /// Sets each worker ring's capacity in batches (clamped to at
-    /// least 1).
-    pub fn ring_capacity(mut self, batches: usize) -> RunnerConfig {
-        self.ring_capacity = batches.max(1);
-        self
-    }
-
     /// Builds a single-threaded [`NativeRunner`] for `cfg` with this
     /// profile.
     pub fn native(self, cfg: &ClickConfig) -> Result<NativeRunner, RouterError> {
@@ -140,10 +120,9 @@ mod tests {
 
     #[test]
     fn builder_clamps_degenerate_values() {
-        let c = RunnerConfig::new().workers(0).batch(0).ring_capacity(0);
+        let c = RunnerConfig::new().workers(0).batch(0);
         assert_eq!(c.workers, 1);
         assert_eq!(c.batch, 1);
-        assert_eq!(c.ring_capacity, 1);
     }
 
     #[test]
@@ -151,7 +130,7 @@ mod tests {
         let c = RunnerConfig::new();
         assert_eq!(c.workers, 1);
         assert_eq!(c.batch, DEFAULT_BATCH);
-        assert!(!c.lossy_rings);
+        assert!(!c.compiled);
         assert!(c.metrics.is_none());
     }
 }

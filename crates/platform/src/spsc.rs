@@ -39,16 +39,6 @@ pub struct RingReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Why a non-blocking send did not enqueue. The item comes back so the
-/// caller can count or re-route it.
-#[derive(Debug)]
-pub enum TrySendError<T> {
-    /// The ring is at capacity.
-    Full(T),
-    /// The receiver is gone.
-    Disconnected(T),
-}
-
 /// Creates a bounded ring with room for `capacity` items.
 pub fn ring<T>(capacity: usize) -> (RingSender<T>, RingReceiver<T>) {
     let shared = Arc::new(Shared {
@@ -85,21 +75,6 @@ impl<T> RingSender<T> {
             }
             inner = self.shared.not_full.wait(inner).expect("ring poisoned");
         }
-    }
-
-    /// Enqueues `item` without blocking; a full ring returns the item
-    /// (lossy mode counts it as a drop).
-    pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        let mut inner = self.shared.inner.lock().expect("ring poisoned");
-        if inner.abandoned {
-            return Err(TrySendError::Disconnected(item));
-        }
-        if inner.queue.len() >= inner.capacity {
-            return Err(TrySendError::Full(item));
-        }
-        inner.queue.push_back(item);
-        self.shared.not_empty.notify_one();
-        Ok(())
     }
 
     /// Items currently queued (for queue-depth gauges).
@@ -151,9 +126,11 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let (tx, rx) = ring::<u32>(4);
+        assert_eq!(tx.len(), 0);
         for i in 0..4 {
             tx.send(i).unwrap();
         }
+        assert_eq!(tx.len(), 4);
         for i in 0..4 {
             assert_eq!(rx.recv(), Some(i));
         }
@@ -171,20 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn try_send_reports_full() {
-        let (tx, _rx) = ring::<u32>(1);
-        assert_eq!(tx.len(), 0);
-        tx.try_send(1).unwrap();
-        assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
-        assert_eq!(tx.len(), 1);
-    }
-
-    #[test]
     fn send_fails_when_receiver_gone() {
         let (tx, rx) = ring::<u32>(1);
         drop(rx);
         assert_eq!(tx.send(7), Err(7));
-        assert!(matches!(tx.try_send(8), Err(TrySendError::Disconnected(8))));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! Flash crowds are multiplicative: scaling a PoP multiplies the rate
 //! of every demand originating there. [`TrafficMatrix::demand_by_tenant`]
-//! exports the per-tenant offered load that [`crate::Fleet::rebalance`]
-//! consumes instead of raw VM counts.
+//! exports the per-tenant offered load that the fleet's rebalance
+//! ([`crate::FleetDriver::rebalance_every`]) consumes instead of raw VM
+//! counts.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;

@@ -8,8 +8,11 @@
 //!    extends past the last offer plus the bounded queue, and every
 //!    offered packet is accounted as either accepted or tail-dropped.
 //! 2. **The driver adds scheduling, not semantics.** A zero-event
-//!    scenario run is byte- and order-identical to the hand-rolled
-//!    inject/advance loop the `FleetDriver` replaces.
+//!    scenario run is byte- and order-identical to plain injection,
+//!    one packet per single-item driver run. (The hand-rolled
+//!    inject/advance loop itself is crate-private; the platform crate
+//!    pins the driver against it in
+//!    `driver::tests::driver_matches_manual_inject_advance_loop`.)
 //! 3. **Regional failover completes at fleet scale.** Killing a PoP on
 //!    the full 1,001-node generated fleet re-homes *every* affected
 //!    tenant, each with a recorded per-tenant downtime.
@@ -154,18 +157,19 @@ fn saturated_link_tail_drops_and_accounts() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn zero_event_scenario_is_identical_to_plain_injection() {
     // Mixed home-delivery and fabric-ingress schedule, driven once
-    // through a FleetDriver carrying an (empty) scenario and once
-    // through the hand-rolled loop. Byte- and order-identical.
+    // through a FleetDriver carrying an (empty) scenario and once as
+    // plain injection: one driver run per packet, each holding only that
+    // packet and ending at its instant (an inject followed by an advance
+    // to the same instant), then a final drain. Byte- and order-identical.
     let build = || {
         let mut f = two_pop_fleet();
         let ps = f.platforms();
         f.register(ps[0], filter_entry(TENANT, true)).unwrap();
         (f, ps)
     };
-    let (manual_fleet, ps) = build();
+    let (plain_fleet, ps) = build();
     let (driven_fleet, _) = build();
     let remote = ps[1];
     let schedule: Vec<(u64, Option<NodeId>, Packet)> = (0..10u64)
@@ -175,16 +179,20 @@ fn zero_event_scenario_is_identical_to_plain_injection() {
         })
         .collect();
 
-    let mut manual = manual_fleet;
-    let mut manual_out = Vec::new();
+    let mut plain = plain_fleet;
+    let mut plain_out = Vec::new();
     for (at, ingress, pkt) in &schedule {
-        match ingress {
-            None => manual_out.extend(manual.inject(pkt.clone(), *at)),
-            Some(node) => manual_out.extend(manual.inject_at(*node, pkt.clone(), *at).unwrap()),
-        }
-        manual_out.extend(manual.advance(*at));
+        let step = FleetDriver::new(plain).until(*at);
+        let step = match ingress {
+            None => step.inject(*at, pkt.clone()),
+            Some(node) => step.inject_at(*at, *node, pkt.clone()),
+        };
+        let run = step.run();
+        assert_eq!(run.errors, 0);
+        plain_out.extend(run.out);
+        plain = run.fleet;
     }
-    manual_out.extend(manual.advance(4 * SEC));
+    plain_out.extend(plain.advance(4 * SEC));
 
     let mut driver = FleetDriver::new(driven_fleet)
         .until(4 * SEC)
@@ -197,9 +205,9 @@ fn zero_event_scenario_is_identical_to_plain_injection() {
     }
     let run = driver.run();
 
-    assert!(!manual_out.is_empty(), "the schedule produces output");
-    assert_eq!(run.out, manual_out, "byte- and order-identical");
-    assert_eq!(run.stats, manual.stats(), "stats-identical");
+    assert!(!plain_out.is_empty(), "the schedule produces output");
+    assert_eq!(run.out, plain_out, "byte- and order-identical");
+    assert_eq!(run.stats, plain.stats(), "stats-identical");
     assert!(run.rehomes.is_empty() && run.consolidation_moves.is_empty());
 }
 
