@@ -65,6 +65,11 @@ echo "==> bench compile gate"
 # compiling — parallel_scaling in particular tracks the runner API.
 cargo bench --no-run --quiet
 
+echo "==> perfbench build"
+# The gated end-to-end benchmark (perfbench/, its own workspace) reads
+# the controller, switch and fleet stats APIs; it must keep building.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> parallel example smoke-run"
 # Differential, sharded-NAT, and global-degrade checks always run; the
 # >=1.5x 4-worker speedup gate self-arms only on hosts with >=4 CPUs

@@ -45,7 +45,7 @@ use crate::{
         BytePattern, CheckIPHeader, Classifier, Counter, DecIPTTL, FilterAction, FromNetfront,
         IPClassifier, IPFilter, StaticIPLookup, ToNetfront,
     },
-    graph::{BatchResult, RouterError, RouterStats},
+    graph::{BatchResult, RouterError, RouterMetrics, RouterStats},
     netfront::NetfrontRing,
     registry::Registry,
 };
@@ -481,29 +481,6 @@ enum Stage {
     Gone,
 }
 
-/// Obs mirrors of [`RouterStats`], same series names as the interpreter so
-/// dashboards aggregate both engines.
-#[derive(Debug, Clone)]
-struct CompiledMetrics {
-    delivered: innet_obs::Counter,
-    transmitted: innet_obs::Counter,
-    hops: innet_obs::Counter,
-    dropped_unconnected: innet_obs::Counter,
-}
-
-impl CompiledMetrics {
-    fn register(reg: &innet_obs::Registry) -> CompiledMetrics {
-        CompiledMetrics {
-            delivered: reg.counter("innet_click_delivered_total"),
-            transmitted: reg.counter("innet_click_transmitted_total"),
-            hops: reg.counter("innet_click_hops_total"),
-            dropped_unconnected: reg
-                .labeled_counter("innet_click_drops_total", "reason")
-                .with("unconnected_port"),
-        }
-    }
-}
-
 /// Sink handed to `Dyn` stages: buffers port pushes, routes transmissions
 /// straight to the tx list (identical to the interpreter's run sink).
 struct StageSink<'a> {
@@ -554,7 +531,7 @@ pub struct CompiledRouter {
     now_ns: u64,
     /// Execution counters, maintained identically to the interpreter's.
     pub stats: RouterStats,
-    metrics: Option<CompiledMetrics>,
+    metrics: Option<RouterMetrics>,
     scratch: VecDeque<(u32, u32, Packet)>,
     emitted_buf: Vec<(usize, Packet)>,
 }
@@ -766,7 +743,7 @@ impl CompiledRouter {
     /// Publishes counters into `registry` under the same
     /// `innet_click_*` names as the interpreter.
     pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(CompiledMetrics::register(registry));
+        self.metrics = Some(RouterMetrics::register(registry));
     }
 
     /// Number of stages (== elements of the source config).
@@ -814,10 +791,7 @@ impl CompiledRouter {
         let Some(&idx) = self.rx_ifaces.get(&iface) else {
             return Err(RouterError::NoSuchInterface(iface));
         };
-        self.stats.delivered += 1;
-        if let Some(m) = &self.metrics {
-            m.delivered.inc();
-        }
+        self.stats.record(&self.metrics, |d| d.delivered = 1);
         self.run_from(idx, 0, pkt, now_ns)
     }
 
@@ -904,10 +878,8 @@ impl CompiledRouter {
             }
             macro_rules! drop_unconnected {
                 () => {
-                    self.stats.dropped_unconnected += 1;
-                    if let Some(m) = &self.metrics {
-                        m.dropped_unconnected.inc();
-                    }
+                    self.stats
+                        .record(&self.metrics, |d| d.dropped_unconnected = 1)
                 };
             }
             macro_rules! emit {
@@ -1118,12 +1090,8 @@ impl CompiledRouter {
             }
             now = now.wrapping_add(step_ns);
         }
-        self.stats.hops += counted;
-        self.stats.transmitted += sent;
-        if let Some(m) = &self.metrics {
-            m.hops.add(counted);
-            m.transmitted.add(sent);
-        }
+        self.stats
+            .record(&self.metrics, |d| (d.hops, d.transmitted) = (counted, sent));
         queue.clear();
         self.scratch = queue;
         (ok, failed)
@@ -1155,12 +1123,8 @@ impl CompiledRouter {
                 };
                 ring.transfer_batch(&batch);
                 let n = batch.len() as u64;
-                self.stats.delivered += n;
-                self.stats.hops += n;
-                if let Some(m) = &self.metrics {
-                    m.delivered.add(n);
-                    m.hops.add(n);
-                }
+                self.stats
+                    .record(&self.metrics, |d| (d.delivered, d.hops) = (n, n));
                 match successor {
                     Some((ni, np)) => {
                         // Packets here already carry `meta.ingress ==
@@ -1173,10 +1137,8 @@ impl CompiledRouter {
                         result.failed += failed;
                     }
                     None => {
-                        self.stats.dropped_unconnected += n;
-                        if let Some(m) = &self.metrics {
-                            m.dropped_unconnected.add(n);
-                        }
+                        self.stats
+                            .record(&self.metrics, |d| d.dropped_unconnected = n);
                         self.now_ns = now + step_ns * n;
                         result.delivered += n;
                     }
@@ -1221,21 +1183,15 @@ impl CompiledRouter {
                 }
             }
         }
-        self.stats.transmitted += new_tx;
-        if let Some(m) = &self.metrics {
-            m.transmitted.add(new_tx);
-        }
+        self.stats.record(&self.metrics, |d| d.transmitted = new_tx);
         for (i, out_port, pkt) in released {
             match edge_of(&self.out_base, &self.out_count, &self.edge_to, i, out_port) {
                 Some((ni, np)) => {
                     let _ = self.run_from(ni, np, pkt, now_ns);
                 }
-                None => {
-                    self.stats.dropped_unconnected += 1;
-                    if let Some(m) = &self.metrics {
-                        m.dropped_unconnected.inc();
-                    }
-                }
+                None => self
+                    .stats
+                    .record(&self.metrics, |d| d.dropped_unconnected = 1),
             }
         }
         self.take_tx()

@@ -85,11 +85,13 @@ pub struct RouterStats {
 }
 
 /// Shared-registry instruments a router publishes into when attached
-/// via [`Router::attach_metrics`]. Many routers attached to the same
-/// registry (every ClickOS VM on a host, say) share these handles, so
-/// the registry aggregates across the fleet.
+/// via `attach_metrics`. Both engines ([`Router`] and
+/// [`CompiledRouter`](crate::CompiledRouter)) register the same series,
+/// and many routers attached to the same registry (every ClickOS VM on a
+/// host, say) share these handles, so the registry aggregates across the
+/// fleet.
 #[derive(Debug, Clone)]
-struct RouterMetrics {
+pub(crate) struct RouterMetrics {
     delivered: innet_obs::Counter,
     transmitted: innet_obs::Counter,
     hops: innet_obs::Counter,
@@ -97,7 +99,7 @@ struct RouterMetrics {
 }
 
 impl RouterMetrics {
-    fn register(reg: &innet_obs::Registry) -> RouterMetrics {
+    pub(crate) fn register(reg: &innet_obs::Registry) -> RouterMetrics {
         RouterMetrics {
             delivered: reg.counter("innet_click_delivered_total"),
             transmitted: reg.counter("innet_click_transmitted_total"),
@@ -105,6 +107,37 @@ impl RouterMetrics {
             dropped_unconnected: reg
                 .labeled_counter("innet_click_drops_total", "reason")
                 .with("unconnected_port"),
+        }
+    }
+}
+
+impl RouterStats {
+    /// Adds the counts `f` sets on a zero delta to these stats and, when
+    /// attached, to the registry series — the one accounting call both
+    /// engines make. Zero counts skip their atomic add.
+    #[inline]
+    pub(crate) fn record(
+        &mut self,
+        metrics: &Option<RouterMetrics>,
+        f: impl FnOnce(&mut RouterStats),
+    ) {
+        let mut d = RouterStats::default();
+        f(&mut d);
+        self.delivered += d.delivered;
+        self.transmitted += d.transmitted;
+        self.dropped_unconnected += d.dropped_unconnected;
+        self.hops += d.hops;
+        if let Some(m) = metrics {
+            for (counter, n) in [
+                (&m.delivered, d.delivered),
+                (&m.transmitted, d.transmitted),
+                (&m.dropped_unconnected, d.dropped_unconnected),
+                (&m.hops, d.hops),
+            ] {
+                if n != 0 {
+                    counter.add(n);
+                }
+            }
         }
     }
 }
@@ -281,10 +314,7 @@ impl Router {
         let Some(&idx) = self.rx_ifaces.get(&iface) else {
             return Err(RouterError::NoSuchInterface(iface));
         };
-        self.stats.delivered += 1;
-        if let Some(m) = &self.metrics {
-            m.delivered.inc();
-        }
+        self.stats.record(&self.metrics, |d| d.delivered = 1);
         self.run_from(idx, 0, pkt, now_ns)
     }
 
@@ -326,7 +356,6 @@ impl Router {
                 result = Err(RouterError::LoopDetected);
                 break;
             }
-            self.stats.hops += 1;
             let before_tx = self.tx.len();
             emitted.clear();
             let mut sink = RunSink {
@@ -335,20 +364,15 @@ impl Router {
             };
             self.elements[i].push(p, pkt, &ctx, &mut sink);
             let transmitted = (self.tx.len() - before_tx) as u64;
-            self.stats.transmitted += transmitted;
-            if let Some(m) = &self.metrics {
-                m.hops.inc();
-                m.transmitted.add(transmitted);
-            }
+            self.stats.record(&self.metrics, |d| {
+                (d.hops, d.transmitted) = (1, transmitted)
+            });
             for (out_port, out_pkt) in emitted.drain(..) {
                 match self.edges.get(&(i, out_port)) {
                     Some(&(ni, np)) => queue.push_back((ni, np, out_pkt)),
-                    None => {
-                        self.stats.dropped_unconnected += 1;
-                        if let Some(m) = &self.metrics {
-                            m.dropped_unconnected.inc();
-                        }
-                    }
+                    None => self
+                        .stats
+                        .record(&self.metrics, |d| d.dropped_unconnected = 1),
                 }
             }
         }
@@ -406,12 +430,8 @@ impl Router {
                 let n = batch.len() as u64;
                 // The entry hop runs once per packet on the slow path;
                 // account it identically here.
-                self.stats.delivered += n;
-                self.stats.hops += n;
-                if let Some(m) = &self.metrics {
-                    m.delivered.add(n);
-                    m.hops.add(n);
-                }
+                self.stats
+                    .record(&self.metrics, |d| (d.delivered, d.hops) = (n, n));
                 match successor {
                     Some((ni, np)) => {
                         for mut pkt in batch {
@@ -426,10 +446,8 @@ impl Router {
                     None => {
                         // Unwired netfront: every packet drops exactly as
                         // it would through the per-packet path.
-                        self.stats.dropped_unconnected += n;
-                        if let Some(m) = &self.metrics {
-                            m.dropped_unconnected.add(n);
-                        }
+                        self.stats
+                            .record(&self.metrics, |d| d.dropped_unconnected = n);
                         self.now_ns = now + step_ns * n;
                         result.delivered += n;
                     }
@@ -469,22 +487,16 @@ impl Router {
                 released.push((i, out_port, pkt));
             }
         }
-        self.stats.transmitted += new_tx;
-        if let Some(m) = &self.metrics {
-            m.transmitted.add(new_tx);
-        }
+        self.stats.record(&self.metrics, |d| d.transmitted = new_tx);
         for (i, out_port, pkt) in released {
             match self.edges.get(&(i, out_port)).copied() {
                 Some((ni, np)) => {
                     // A tick-released packet then flows like any other.
                     let _ = self.run_from(ni, np, pkt, now_ns);
                 }
-                None => {
-                    self.stats.dropped_unconnected += 1;
-                    if let Some(m) = &self.metrics {
-                        m.dropped_unconnected.inc();
-                    }
-                }
+                None => self
+                    .stats
+                    .record(&self.metrics, |d| d.dropped_unconnected = 1),
             }
         }
         self.take_tx()

@@ -143,8 +143,9 @@ impl ControllerStats {
     }
 }
 
-/// Shared-registry instruments for one controller (see
-/// [`Controller::attach_metrics`]).
+/// The controller's instruments (Prometheus namespace `innet_ctl_*`):
+/// the only store of its counters. [`Controller::stats`] is a typed read
+/// of them, so what an operator exports is what the controller keeps.
 #[derive(Debug, Clone)]
 struct ControllerMetrics {
     requests: innet_obs::Counter,
@@ -158,14 +159,19 @@ struct ControllerMetrics {
     check_ns_total: innet_obs::Counter,
     compile_ns: innet_obs::Histogram,
     check_ns: innet_obs::Histogram,
-    verdicts: innet_obs::LabeledCounter,
+    /// `innet_ctl_verdicts_total` cells, resolved once.
+    verdict_accept: innet_obs::Counter,
+    verdict_sandbox: innet_obs::Counter,
+    verdict_reject: innet_obs::Counter,
     fastpath_hits: innet_obs::Counter,
     fastpath_fallbacks: innet_obs::Counter,
     lint_rejects: innet_obs::Counter,
     lint_cache_hits: innet_obs::Counter,
     analysis_ns_total: innet_obs::Counter,
     analysis_ns: innet_obs::Histogram,
-    symbolic_bailouts: innet_obs::LabeledCounter,
+    /// `innet_ctl_symbolic_bailouts_total` cells, resolved once.
+    hop_cap_bailouts: innet_obs::Counter,
+    visit_cap_bailouts: innet_obs::Counter,
     summary_cache_hits: innet_obs::Counter,
     summary_cache_misses: innet_obs::Counter,
     summary_chain_nodes: innet_obs::Counter,
@@ -179,6 +185,8 @@ struct ControllerMetrics {
 
 impl ControllerMetrics {
     fn register(reg: &innet_obs::Registry) -> ControllerMetrics {
+        let verdicts = reg.labeled_counter("innet_ctl_verdicts_total", "verdict");
+        let bailouts = reg.labeled_counter("innet_ctl_symbolic_bailouts_total", "reason");
         ControllerMetrics {
             requests: reg.counter("innet_ctl_requests_total"),
             accepted: reg.counter("innet_ctl_accepted_total"),
@@ -191,14 +199,17 @@ impl ControllerMetrics {
             check_ns_total: reg.counter("innet_ctl_check_ns_total"),
             compile_ns: reg.histogram("innet_ctl_compile_ns"),
             check_ns: reg.histogram("innet_ctl_check_ns"),
-            verdicts: reg.labeled_counter("innet_ctl_verdicts_total", "verdict"),
+            verdict_accept: verdicts.with("accept"),
+            verdict_sandbox: verdicts.with("sandbox"),
+            verdict_reject: verdicts.with("reject"),
             fastpath_hits: reg.counter("innet_ctl_fastpath_hits_total"),
             fastpath_fallbacks: reg.counter("innet_ctl_fastpath_fallbacks_total"),
             lint_rejects: reg.counter("innet_ctl_lint_rejects_total"),
             lint_cache_hits: reg.counter("innet_ctl_lint_cache_hits_total"),
             analysis_ns_total: reg.counter("innet_ctl_analysis_ns_total"),
             analysis_ns: reg.histogram("innet_ctl_analysis_ns"),
-            symbolic_bailouts: reg.labeled_counter("innet_ctl_symbolic_bailouts_total", "reason"),
+            hop_cap_bailouts: bailouts.with("hop_cap"),
+            visit_cap_bailouts: bailouts.with("visit_cap"),
             summary_cache_hits: reg.counter("innet_ctl_summary_cache_hits_total"),
             summary_cache_misses: reg.counter("innet_ctl_summary_cache_misses_total"),
             summary_chain_nodes: reg.counter("innet_ctl_summary_chain_nodes_total"),
@@ -208,6 +219,71 @@ impl ControllerMetrics {
             stage_symbolic_ns: reg.histogram("innet_ctl_stage_symbolic_ns"),
             stage_placement_ns: reg.histogram("innet_ctl_stage_placement_ns"),
             placement_rejects: reg.labeled_counter("innet_ctl_placement_reject_total", "reason"),
+        }
+    }
+
+    /// Counts a verdict-cache hit that replays a check which cost
+    /// `check_ns` when it first ran.
+    fn cache_hit(&self, check_ns: u64) {
+        self.cache_hits.inc();
+        self.check_ns_saved.add(check_ns);
+    }
+
+    /// Counts one full (uncached) verification: the miss, the work it
+    /// did, and its verdict.
+    fn verified(&self, work: &Work, result: &Result<DeployResponse, DeployError>) {
+        self.cache_misses.inc();
+        self.compile_ns_total.add(work.compile_ns);
+        self.compile_ns.observe(work.compile_ns);
+        self.check_ns_total.add(work.check_ns);
+        self.check_ns.observe(work.check_ns);
+        self.analysis_ns_total.add(work.analysis_ns);
+        self.analysis_ns.observe(work.analysis_ns);
+        self.fastpath_hits.add(work.fastpath_hits);
+        self.fastpath_fallbacks.add(work.fastpath_fallbacks);
+        self.lint_rejects.add(u64::from(work.lint_rejected));
+        self.lint_cache_hits.add(u64::from(work.lint_cache_hit));
+        self.hop_cap_bailouts.add(work.check.hop_cap_bailouts);
+        self.visit_cap_bailouts.add(work.check.visit_cap_bailouts);
+        self.summary_cache_hits.add(work.check.summary_cache_hits);
+        self.summary_cache_misses
+            .add(work.check.summary_cache_misses);
+        self.summary_chain_nodes.add(work.check.summary_chain_nodes);
+        self.stage_lint_ns.observe(work.stage.lint);
+        self.stage_fastpath_ns.observe(work.stage.fastpath);
+        self.stage_symbolic_ns.observe(work.stage.symbolic);
+        self.stage_placement_ns.observe(work.stage.placement);
+        match result {
+            Ok(resp) => {
+                self.accepted.inc();
+                if resp.sandboxed {
+                    self.verdict_sandbox.inc();
+                } else {
+                    self.verdict_accept.inc();
+                }
+            }
+            Err(e) => {
+                self.verdict_reject.inc();
+                self.rejected(e);
+            }
+        }
+    }
+
+    /// Counts a rejected request.
+    fn rejected(&self, err: &DeployError) {
+        self.rejected.inc();
+        self.note_placement_rejects(err);
+    }
+
+    /// Counts each per-platform rejection of a `NoFeasiblePlacement`
+    /// outcome, split by [`RejectReason`].
+    fn note_placement_rejects(&self, err: &DeployError) {
+        if let DeployError::NoFeasiblePlacement { reasons } = err {
+            for (_, why) in reasons {
+                self.placement_rejects
+                    .with(RejectReason::classify(why).as_str())
+                    .inc();
+            }
         }
     }
 }
@@ -297,11 +373,11 @@ struct StageNs {
     placement: u64,
 }
 
-/// What one full (uncached) deployment evaluation produced: the outcome
-/// plus per-phase timings and static-analysis counters, so the caller
-/// can do all statistics accounting in one place.
-struct UncachedOutcome {
-    result: Result<DeployResponse, DeployError>,
+/// The work one full (uncached) pass through the admission pipeline did:
+/// per-phase timings and static-analysis counters, counted into the
+/// instruments in one place ([`ControllerMetrics::verified`]).
+#[derive(Default)]
+struct Work {
     compile_ns: u64,
     check_ns: u64,
     analysis_ns: u64,
@@ -355,15 +431,29 @@ pub struct Controller {
     /// paths). Immutable after construction — the topology is fixed for
     /// the controller's lifetime — and shared with verification shards.
     placement: Arc<PlacementContext>,
-    /// Cumulative statistics.
-    stats: ControllerStats,
-    /// Shared-registry instruments, if attached.
-    metrics: Option<ControllerMetrics>,
+    /// The registry the instruments live in.
+    obs: innet_obs::Registry,
+    /// The instruments: the controller's only counter store.
+    metrics: ControllerMetrics,
 }
 
 impl Controller {
-    /// Creates a controller for the given operator topology.
+    /// Creates a controller for the given operator topology, with a
+    /// private metrics registry (see [`Controller::with_obs`] to share
+    /// one).
     pub fn new(topology: Topology) -> Controller {
+        Controller::with_obs(topology, &innet_obs::Registry::new())
+    }
+
+    /// Creates a controller publishing its counters into `obs`
+    /// (Prometheus namespace `innet_ctl_*`): request/accept/reject
+    /// totals, verdict-cache traffic, cumulative and per-request
+    /// compile/check time, the admission stages, and
+    /// `innet_ctl_verdicts_total` labeled by the outcome of each full
+    /// (uncached) verification (`accept`, `sandbox`, `reject`). The
+    /// registry is the store [`Controller::stats`] reads, so a second
+    /// controller on the same registry shares these counts.
+    pub fn with_obs(topology: Topology, obs: &innet_obs::Registry) -> Controller {
         let placement = Arc::new(PlacementContext::new(&topology));
         Controller {
             topology,
@@ -382,8 +472,8 @@ impl Controller {
             models: Arc::new(ModelCache::default()),
             lint_memo: Arc::new(RwLock::new(HashMap::new())),
             placement,
-            stats: ControllerStats::default(),
-            metrics: None,
+            obs: obs.clone(),
+            metrics: ControllerMetrics::register(obs),
         }
     }
 
@@ -419,19 +509,42 @@ impl Controller {
         self.summaries.read().len()
     }
 
-    /// Publishes this controller's counters into `registry` (Prometheus
-    /// namespace `innet_ctl_*`): request/accept/reject totals,
-    /// verdict-cache traffic, cumulative and per-request compile/check
-    /// time, and `innet_ctl_verdicts_total` labeled by the outcome of
-    /// each full (uncached) verification (`accept`, `sandbox`,
-    /// `reject`). Only activity after attachment is counted.
-    pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(ControllerMetrics::register(registry));
+    /// The metrics registry this controller publishes into.
+    pub fn obs(&self) -> &innet_obs::Registry {
+        &self.obs
     }
 
-    /// A snapshot of the controller's cumulative statistics.
+    /// The controller's cumulative statistics: a typed read of its
+    /// instruments.
     pub fn stats(&self) -> ControllerStats {
-        self.stats
+        let m = &self.metrics;
+        ControllerStats {
+            requests: m.requests.get(),
+            accepted: m.accepted.get(),
+            rejected: m.rejected.get(),
+            compile_ns: m.compile_ns_total.get(),
+            check_ns: m.check_ns_total.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            cache_invalidations: m.cache_invalidations.get(),
+            check_ns_saved: m.check_ns_saved.get(),
+            fastpath_hits: m.fastpath_hits.get(),
+            fastpath_fallbacks: m.fastpath_fallbacks.get(),
+            lint_rejects: m.lint_rejects.get(),
+            lint_cache_hits: m.lint_cache_hits.get(),
+            analysis_ns: m.analysis_ns_total.get(),
+            hop_cap_bailouts: m.hop_cap_bailouts.get(),
+            visit_cap_bailouts: m.visit_cap_bailouts.get(),
+            summary_cache_hits: m.summary_cache_hits.get(),
+            summary_cache_misses: m.summary_cache_misses.get(),
+            summary_chain_nodes: m.summary_chain_nodes.get(),
+            summary_invalidations: m.summary_invalidations.get(),
+            stage_lint_ns: m.stage_lint_ns.sum() as u64,
+            stage_fastpath_ns: m.stage_fastpath_ns.sum() as u64,
+            stage_symbolic_ns: m.stage_symbolic_ns.sum() as u64,
+            stage_placement_ns: m.stage_placement_ns.sum() as u64,
+            placement_rejects: m.placement_rejects.total(),
+        }
     }
 
     /// Sets the §7 hardening policy (ingress filtering, UDP-reflection
@@ -452,17 +565,13 @@ impl Controller {
     /// (e.g. topology edits).
     pub fn invalidate_verdicts(&mut self) {
         let dropped = self.verdicts.write().bump_epoch();
-        self.stats.cache_invalidations += dropped;
+        self.metrics.cache_invalidations.add(dropped);
         let summaries_dropped = self.summaries.write().bump_epoch();
-        self.stats.summary_invalidations += summaries_dropped;
+        self.metrics.summary_invalidations.add(summaries_dropped);
         // Model and lint memos hold pure functions of their keys and can
         // never go stale; they join the epoch flush as a memory bound.
         self.models.clear();
         self.lint_memo.write().clear();
-        if let Some(m) = &self.metrics {
-            m.cache_invalidations.add(dropped);
-            m.summary_invalidations.add(summaries_dropped);
-        }
     }
 
     /// Number of verdicts currently cached.
@@ -565,22 +674,6 @@ impl Controller {
             })
     }
 
-    /// Counts each per-platform rejection of a `NoFeasiblePlacement`
-    /// outcome, split by [`RejectReason`] in the labeled metric.
-    fn note_placement_rejects(&mut self, err: &DeployError) {
-        let DeployError::NoFeasiblePlacement { reasons } = err else {
-            return;
-        };
-        self.stats.placement_rejects += reasons.len() as u64;
-        if let Some(m) = &self.metrics {
-            for (_, why) in reasons {
-                m.placement_rejects
-                    .with(RejectReason::classify(why).as_str())
-                    .inc();
-            }
-        }
-    }
-
     /// Compiles the current network state into a verification model.
     pub fn network_model(&self) -> Result<NetworkModel, SymError> {
         let mut m = compile(&self.topology, &self.modules, &self.registry)?;
@@ -659,10 +752,7 @@ impl Controller {
         count_request: bool,
     ) -> Result<DeployResponse, DeployError> {
         if count_request {
-            self.stats.requests += 1;
-            if let Some(m) = &self.metrics {
-                m.requests.inc();
-            }
+            self.metrics.requests.inc();
         }
         let account = self
             .clients
@@ -692,12 +782,7 @@ impl Controller {
                     ref platform,
                     sandboxed,
                 } if self.platform_has_room(platform) => {
-                    self.stats.cache_hits += 1;
-                    self.stats.check_ns_saved += hit.check_ns;
-                    if let Some(m) = &self.metrics {
-                        m.cache_hits.inc();
-                        m.check_ns_saved.add(hit.check_ns);
-                    }
+                    self.metrics.cache_hit(hit.check_ns);
                     let platform = platform.clone();
                     return self
                         .commit_unchecked(client_id, &account, request, &platform, sandboxed);
@@ -715,12 +800,7 @@ impl Controller {
                     // and no check re-runs. The refreshed entry points
                     // the next hit straight at the new platform.
                     if let Some(alt) = self.best_platform_with_room() {
-                        self.stats.cache_hits += 1;
-                        self.stats.check_ns_saved += hit.check_ns;
-                        if let Some(m) = &self.metrics {
-                            m.cache_hits.inc();
-                            m.check_ns_saved.add(hit.check_ns);
-                        }
+                        self.metrics.cache_hit(hit.check_ns);
                         let alt_name = self.topology.node(alt).name.clone();
                         self.verdicts.write().insert(
                             epoch,
@@ -749,99 +829,14 @@ impl Controller {
                     // outcome replaces the stale entry.
                 }
                 CachedOutcome::Reject(e) => {
-                    self.stats.cache_hits += 1;
-                    self.stats.check_ns_saved += hit.check_ns;
-                    self.stats.rejected += 1;
-                    if let Some(m) = &self.metrics {
-                        m.cache_hits.inc();
-                        m.check_ns_saved.add(hit.check_ns);
-                        m.rejected.inc();
-                    }
-                    self.note_placement_rejects(&e);
+                    self.metrics.cache_hit(hit.check_ns);
+                    self.metrics.rejected(&e);
                     return Err(e);
                 }
             }
         }
-        self.stats.cache_misses += 1;
-        if let Some(m) = &self.metrics {
-            m.cache_misses.inc();
-        }
-
-        let UncachedOutcome {
-            result,
-            compile_ns,
-            check_ns,
-            analysis_ns,
-            fastpath_hits,
-            fastpath_fallbacks,
-            lint_rejected,
-            lint_cache_hit,
-            check,
-            stage,
-        } = self.deploy_uncached(client_id, &account, request);
-        self.stats.compile_ns += compile_ns;
-        self.stats.check_ns += check_ns;
-        self.stats.analysis_ns += analysis_ns;
-        self.stats.fastpath_hits += fastpath_hits;
-        self.stats.fastpath_fallbacks += fastpath_fallbacks;
-        self.stats.lint_rejects += u64::from(lint_rejected);
-        self.stats.lint_cache_hits += u64::from(lint_cache_hit);
-        self.stats.hop_cap_bailouts += check.hop_cap_bailouts;
-        self.stats.visit_cap_bailouts += check.visit_cap_bailouts;
-        self.stats.summary_cache_hits += check.summary_cache_hits;
-        self.stats.summary_cache_misses += check.summary_cache_misses;
-        self.stats.summary_chain_nodes += check.summary_chain_nodes;
-        self.stats.stage_lint_ns += stage.lint;
-        self.stats.stage_fastpath_ns += stage.fastpath;
-        self.stats.stage_symbolic_ns += stage.symbolic;
-        self.stats.stage_placement_ns += stage.placement;
-        if let Some(m) = &self.metrics {
-            m.compile_ns_total.add(compile_ns);
-            m.check_ns_total.add(check_ns);
-            m.compile_ns.observe(compile_ns);
-            m.check_ns.observe(check_ns);
-            m.analysis_ns_total.add(analysis_ns);
-            m.analysis_ns.observe(analysis_ns);
-            m.fastpath_hits.add(fastpath_hits);
-            m.fastpath_fallbacks.add(fastpath_fallbacks);
-            if lint_rejected {
-                m.lint_rejects.inc();
-            }
-            if lint_cache_hit {
-                m.lint_cache_hits.inc();
-            }
-            m.symbolic_bailouts
-                .with("hop_cap")
-                .add(check.hop_cap_bailouts);
-            m.symbolic_bailouts
-                .with("visit_cap")
-                .add(check.visit_cap_bailouts);
-            m.summary_cache_hits.add(check.summary_cache_hits);
-            m.summary_cache_misses.add(check.summary_cache_misses);
-            m.summary_chain_nodes.add(check.summary_chain_nodes);
-            m.stage_lint_ns.observe(stage.lint);
-            m.stage_fastpath_ns.observe(stage.fastpath);
-            m.stage_symbolic_ns.observe(stage.symbolic);
-            m.stage_placement_ns.observe(stage.placement);
-        }
-        match &result {
-            Ok(resp) => {
-                self.stats.accepted += 1;
-                if let Some(m) = &self.metrics {
-                    m.accepted.inc();
-                    let verdict = if resp.sandboxed { "sandbox" } else { "accept" };
-                    m.verdicts.with(verdict).inc();
-                }
-            }
-            Err(e) => {
-                self.stats.rejected += 1;
-                if let Some(m) = &self.metrics {
-                    m.rejected.inc();
-                    m.verdicts.with("reject").inc();
-                }
-                self.note_placement_rejects(e);
-            }
-        }
+        let (result, work) = self.deploy_uncached(client_id, &account, request);
+        self.metrics.verified(&work, &result);
 
         let outcome = match &result {
             Ok(resp) => Some(CachedOutcome::Accept {
@@ -866,9 +861,14 @@ impl Controller {
             Err(e) => Some(CachedOutcome::Reject(e.clone())),
         };
         if let Some(outcome) = outcome {
-            self.verdicts
-                .write()
-                .insert(epoch, key, CachedVerdict { outcome, check_ns });
+            self.verdicts.write().insert(
+                epoch,
+                key,
+                CachedVerdict {
+                    outcome,
+                    check_ns: work.check_ns,
+                },
+            );
         }
         result
     }
@@ -877,21 +877,14 @@ impl Controller {
     /// stages — lint → abstract fast path → compositional symbolic →
     /// placement — with per-stage wall time recorded in [`StageNs`] (and,
     /// via the caller, in the `innet_ctl_stage_*_ns` histograms). Returns
-    /// the outcome plus per-phase timings and analysis counters; the
-    /// caller owns all statistics accounting.
+    /// the outcome plus the [`Work`] it did; the caller counts it.
     fn deploy_uncached(
         &mut self,
         client_id: &str,
         account: &ClientAccount,
         request: ClientRequest,
-    ) -> UncachedOutcome {
-        let mut compile_ns = 0u64;
-        let mut check_ns = 0u64;
-        let mut analysis_ns = 0u64;
-        let mut fastpath_hits = 0u64;
-        let mut fastpath_fallbacks = 0u64;
-        let mut check = CheckStats::default();
-        let mut stage = StageNs::default();
+    ) -> (Result<DeployResponse, DeployError>, Work) {
+        let mut work = Work::default();
         let mut reasons: Vec<(String, String)> = Vec::new();
 
         // Stage 1: lint. Structural rules are address-independent, so one
@@ -905,7 +898,7 @@ impl Controller {
         // module names lint once.
         let lint_key = lint_cfg.canonical_text();
         let memoized = self.lint_memo.read().get(&lint_key).cloned();
-        let lint_cache_hit = memoized.is_some();
+        work.lint_cache_hit = memoized.is_some();
         let lint_report = match memoized {
             Some(report) => report,
             None => {
@@ -915,21 +908,11 @@ impl Controller {
             }
         };
         let lint_ns = t_lint.elapsed().as_nanos() as u64;
-        analysis_ns += lint_ns;
-        stage.lint += lint_ns;
+        work.analysis_ns += lint_ns;
+        work.stage.lint += lint_ns;
         if lint_report.has_errors() {
-            return UncachedOutcome {
-                result: Err(DeployError::Lint(lint_report)),
-                compile_ns,
-                check_ns,
-                analysis_ns,
-                fastpath_hits,
-                fastpath_fallbacks,
-                lint_rejected: true,
-                lint_cache_hit,
-                check,
-                stage,
-            };
+            work.lint_rejected = true;
+            return (Err(DeployError::Lint(lint_report)), work);
         }
 
         // Stage 2 is only sound when nothing the analyzer cannot see
@@ -962,13 +945,13 @@ impl Controller {
                     .filter(|m| m.platform == platform)
                     .count();
                 if installed_here >= spec.capacity {
-                    stage.placement += t_place.elapsed().as_nanos() as u64;
+                    work.stage.placement += t_place.elapsed().as_nanos() as u64;
                     reasons.push((platform_name, "platform full".to_string()));
                     continue;
                 }
 
                 let Some(addr) = self.allocate_addr(platform) else {
-                    stage.placement += t_place.elapsed().as_nanos() as u64;
+                    work.stage.placement += t_place.elapsed().as_nanos() as u64;
                     reasons.push((platform_name, "no address pool".to_string()));
                     continue;
                 };
@@ -977,7 +960,7 @@ impl Controller {
                 // assigned address; Click configurations may reference
                 // the not-yet-known module address as `$SELF`).
                 let raw_cfg = Controller::materialize_config(&request.config, addr);
-                stage.placement += t_place.elapsed().as_nanos() as u64;
+                work.stage.placement += t_place.elapsed().as_nanos() as u64;
 
                 let ctx = SecurityContext {
                     assigned_addr: addr,
@@ -994,12 +977,12 @@ impl Controller {
                     let t = Instant::now();
                     fast = innet_analysis::abstract_verdict(&raw_cfg, &ctx, &self.registry);
                     let fast_ns = t.elapsed().as_nanos() as u64;
-                    analysis_ns += fast_ns;
-                    stage.fastpath += fast_ns;
+                    work.analysis_ns += fast_ns;
+                    work.stage.fastpath += fast_ns;
                     if fast.is_some() {
-                        fastpath_hits += 1;
+                        work.fastpath_hits += 1;
                     } else {
-                        fastpath_fallbacks += 1;
+                        work.fastpath_fallbacks += 1;
                     }
                 }
                 let fast_path = fast.is_some();
@@ -1027,10 +1010,10 @@ impl Controller {
                             Ok(v) => v,
                             Err(e) => break 'search Err(DeployError::BadConfig(e)),
                         };
-                        check.absorb(check_stats);
+                        work.check.absorb(check_stats);
                         let sym_ns = t0.elapsed().as_nanos() as u64;
-                        check_ns += sym_ns;
-                        stage.symbolic += sym_ns;
+                        work.check_ns += sym_ns;
+                        work.stage.symbolic += sym_ns;
 
                         // §7 hardening: the UDP-reflection (amplification)
                         // ban (fast-path-ineligible, so only seen here).
@@ -1087,8 +1070,8 @@ impl Controller {
                     };
                     model.ingress_filtering = self.hardening.ingress_filtering;
                     let model_ns = t1.elapsed().as_nanos() as u64;
-                    compile_ns += model_ns;
-                    stage.placement += model_ns;
+                    work.compile_ns += model_ns;
+                    work.stage.placement += model_ns;
 
                     // Operator policy and client requirements must all hold.
                     let t2 = Instant::now();
@@ -1097,9 +1080,9 @@ impl Controller {
                     let mut failure: Option<VerifyError> = None;
                     for rule in &self.operator_policy {
                         match check_requirement_summarized(&model, rule, self.summaries_enabled) {
-                            Ok((true, cs)) => check.absorb(cs),
+                            Ok((true, cs)) => work.check.absorb(cs),
                             Ok((false, cs)) => {
-                                check.absorb(cs);
+                                work.check.absorb(cs);
                                 ok = false;
                                 why = format!("operator policy violated: {rule}");
                                 break;
@@ -1114,9 +1097,9 @@ impl Controller {
                         for rule in &request.requirements {
                             match check_requirement_summarized(&model, rule, self.summaries_enabled)
                             {
-                                Ok((true, cs)) => check.absorb(cs),
+                                Ok((true, cs)) => work.check.absorb(cs),
                                 Ok((false, cs)) => {
-                                    check.absorb(cs);
+                                    work.check.absorb(cs);
                                     ok = false;
                                     why = format!("client requirement unsatisfied: {rule}");
                                     break;
@@ -1129,8 +1112,8 @@ impl Controller {
                         }
                     }
                     let req_ns = t2.elapsed().as_nanos() as u64;
-                    check_ns += req_ns;
-                    stage.placement += req_ns;
+                    work.check_ns += req_ns;
+                    work.stage.placement += req_ns;
                     if let Some(e) = failure {
                         break 'search Err(DeployError::Verify(e));
                     }
@@ -1156,25 +1139,14 @@ impl Controller {
                     public_addr: addr,
                     platform: platform_name,
                     sandboxed,
-                    compile_ns,
-                    check_ns,
+                    compile_ns: work.compile_ns,
+                    check_ns: work.check_ns,
                 });
             }
 
             Err(DeployError::NoFeasiblePlacement { reasons })
         };
-        UncachedOutcome {
-            result,
-            compile_ns,
-            check_ns,
-            analysis_ns,
-            fastpath_hits,
-            fastpath_fallbacks,
-            lint_rejected: false,
-            lint_cache_hit,
-            check,
-            stage,
-        }
+        (result, work)
     }
 
     /// Installs a request whose verdict was already established — either
@@ -1197,7 +1169,7 @@ impl Controller {
                 let err = DeployError::NoFeasiblePlacement {
                     reasons: vec![(platform_name.to_string(), "unknown platform".to_string())],
                 };
-                self.note_placement_rejects(&err);
+                self.metrics.note_placement_rejects(&err);
                 return Err(err);
             }
         };
@@ -1207,7 +1179,7 @@ impl Controller {
                 let err = DeployError::NoFeasiblePlacement {
                     reasons: vec![(platform_name.to_string(), "not a platform".to_string())],
                 };
-                self.note_placement_rejects(&err);
+                self.metrics.note_placement_rejects(&err);
                 return Err(err);
             }
         };
@@ -1233,10 +1205,7 @@ impl Controller {
             sandboxed,
             owner: client_id.to_string(),
         });
-        self.stats.accepted += 1;
-        if let Some(m) = &self.metrics {
-            m.accepted.inc();
-        }
+        self.metrics.accepted.inc();
         Ok(DeployResponse {
             module_id: id,
             module_name: request.module_name,
@@ -1260,9 +1229,9 @@ impl Controller {
         sandboxed: bool,
     ) -> Result<DeployResponse, DeployError> {
         // No `requests` bump here: the shard that verified this proposal
-        // already counted the request, and its statistics are folded into
-        // this controller's by `fold_shard_stats` — counting again would
-        // make batch deployments report more requests than they served.
+        // already counted the request into the shared instruments —
+        // counting again would make batch deployments report more
+        // requests than they served.
         let account = self
             .clients
             .get(client_id)
@@ -1273,8 +1242,14 @@ impl Controller {
 
     /// A verification-only copy of this controller: same topology, policy,
     /// accounts, installed modules, and hardening — with independent
-    /// statistics and allocators, and the *shared* verdict cache (built by
-    /// direct field access so construction never bumps the cache epoch).
+    /// allocators, and the *shared* verdict cache (built by direct field
+    /// access so construction never bumps the cache epoch).
+    ///
+    /// The copy counts into this controller's instruments (atomics, so
+    /// shard threads add straight into them), except `accepted`: a shard
+    /// gets a private counter there, because acceptance is only real once
+    /// the serial commit phase lands the proposal (or re-verifies it on
+    /// conflict), and the live controller counts it then.
     pub(crate) fn verification_clone(&self) -> Controller {
         Controller {
             topology: self.topology.clone(),
@@ -1298,102 +1273,11 @@ impl Controller {
             models: Arc::clone(&self.models),
             lint_memo: Arc::clone(&self.lint_memo),
             placement: Arc::clone(&self.placement),
-            stats: ControllerStats::default(),
-            metrics: None,
-        }
-    }
-
-    /// Folds a verification shard's statistics into this controller's.
-    ///
-    /// The destructuring is deliberately exhaustive (no `..`): adding a
-    /// field to [`ControllerStats`] without deciding its folding policy
-    /// is a compile error here, not a silently lost statistic — exactly
-    /// the bug this replaces, where `deploy_batch` folded three fields
-    /// and dropped the rest.
-    pub(crate) fn fold_shard_stats(&mut self, shard: ControllerStats) {
-        let ControllerStats {
-            requests,
-            // A shard counts a proposal it verified as `accepted`, but
-            // acceptance is only real once the serial commit phase lands
-            // it (or re-verifies it on conflict) — the live controller
-            // counts it there, so the shard's figure is dropped.
-            accepted: _,
-            rejected,
-            compile_ns,
-            check_ns,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            check_ns_saved,
-            fastpath_hits,
-            fastpath_fallbacks,
-            lint_rejects,
-            lint_cache_hits,
-            analysis_ns,
-            hop_cap_bailouts,
-            visit_cap_bailouts,
-            summary_cache_hits,
-            summary_cache_misses,
-            summary_chain_nodes,
-            // Shards never bump the shared caches' epochs (invalidation
-            // requires `&mut` access to the live controller), so a
-            // shard's figure is always zero; folding it keeps the
-            // destructure honest.
-            summary_invalidations,
-            stage_lint_ns,
-            stage_fastpath_ns,
-            stage_symbolic_ns,
-            stage_placement_ns,
-            placement_rejects,
-        } = shard;
-        self.stats.requests += requests;
-        self.stats.rejected += rejected;
-        self.stats.compile_ns += compile_ns;
-        self.stats.check_ns += check_ns;
-        self.stats.cache_hits += cache_hits;
-        self.stats.cache_misses += cache_misses;
-        self.stats.cache_invalidations += cache_invalidations;
-        self.stats.check_ns_saved += check_ns_saved;
-        self.stats.fastpath_hits += fastpath_hits;
-        self.stats.fastpath_fallbacks += fastpath_fallbacks;
-        self.stats.lint_rejects += lint_rejects;
-        self.stats.lint_cache_hits += lint_cache_hits;
-        self.stats.analysis_ns += analysis_ns;
-        self.stats.hop_cap_bailouts += hop_cap_bailouts;
-        self.stats.visit_cap_bailouts += visit_cap_bailouts;
-        self.stats.summary_cache_hits += summary_cache_hits;
-        self.stats.summary_cache_misses += summary_cache_misses;
-        self.stats.summary_chain_nodes += summary_chain_nodes;
-        self.stats.summary_invalidations += summary_invalidations;
-        self.stats.stage_lint_ns += stage_lint_ns;
-        self.stats.stage_fastpath_ns += stage_fastpath_ns;
-        self.stats.stage_symbolic_ns += stage_symbolic_ns;
-        self.stats.stage_placement_ns += stage_placement_ns;
-        // Shards have no metrics attached, so their per-reason label
-        // split is not recoverable here — the total still folds.
-        self.stats.placement_rejects += placement_rejects;
-        if let Some(m) = &self.metrics {
-            m.requests.add(requests);
-            m.rejected.add(rejected);
-            m.compile_ns_total.add(compile_ns);
-            m.check_ns_total.add(check_ns);
-            m.cache_hits.add(cache_hits);
-            m.cache_misses.add(cache_misses);
-            m.cache_invalidations.add(cache_invalidations);
-            m.check_ns_saved.add(check_ns_saved);
-            m.fastpath_hits.add(fastpath_hits);
-            m.fastpath_fallbacks.add(fastpath_fallbacks);
-            m.lint_rejects.add(lint_rejects);
-            m.lint_cache_hits.add(lint_cache_hits);
-            m.analysis_ns_total.add(analysis_ns);
-            m.symbolic_bailouts.with("hop_cap").add(hop_cap_bailouts);
-            m.symbolic_bailouts
-                .with("visit_cap")
-                .add(visit_cap_bailouts);
-            m.summary_cache_hits.add(summary_cache_hits);
-            m.summary_cache_misses.add(summary_cache_misses);
-            m.summary_chain_nodes.add(summary_chain_nodes);
-            m.summary_invalidations.add(summary_invalidations);
+            obs: self.obs.clone(),
+            metrics: ControllerMetrics {
+                accepted: innet_obs::Counter::new(),
+                ..self.metrics.clone()
+            },
         }
     }
 

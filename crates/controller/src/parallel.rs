@@ -73,19 +73,16 @@ impl Controller {
                             let r = snapshot.deploy(&client, request.clone());
                             out.push((idx, client, request, r));
                         }
-                        (out, snapshot.stats())
+                        out
                     })
                 })
                 .collect();
             for h in handles {
-                let (rows, shard_stats) = h.join().expect("shard panicked");
-                // Shard verification runs against throwaway snapshots, but
-                // the work was done on this controller's behalf — fold the
-                // whole statistics struct (requests, rejections, timing,
-                // cache traffic) into this controller's, so a batch deploy
-                // reports the same statistics as the serial equivalent.
-                self.fold_shard_stats(shard_stats);
-                for (idx, client, request, r) in rows {
+                // Shard verification runs against throwaway snapshots that
+                // count into this controller's instruments, so a batch
+                // deploy reports the same statistics as the serial
+                // equivalent.
+                for (idx, client, request, r) in h.join().expect("shard panicked") {
                     match r {
                         Ok(resp) => proposals.push(Proposal {
                             batch_index: idx,

@@ -275,8 +275,7 @@ impl Fleet {
             };
             let obs = innet_obs::Registry::new();
             let host = Host::with_obs(spec.mem_mb, &obs);
-            let mut switch = SwitchController::new();
-            switch.attach_metrics(&obs);
+            let switch = SwitchController::with_obs(&obs);
             sites.insert(id, Site { host, switch, obs });
         }
         Fleet {
@@ -478,7 +477,6 @@ impl Fleet {
             total.delivered += s.delivered;
             total.buffered += s.buffered;
             total.dropped += s.dropped;
-            total.unknown += s.unknown;
         }
         total
     }

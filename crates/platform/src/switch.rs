@@ -28,12 +28,13 @@ pub struct ClientEntry {
     pub stateful: bool,
 }
 
-/// Counters the switch controller maintains.
+/// Counters the switch controller maintains: a typed read of its
+/// instruments ([`SwitchController::stats`]).
 ///
 /// The drop accounting is exhaustive:
-/// `packets == delivered + buffered + dropped` always holds, and every
-/// drop also lands in a reason-labeled cell of
-/// `innet_switch_drops_total` when a registry is attached.
+/// `packets == delivered + buffered + dropped` always holds, and
+/// `dropped` is the sum of the reason-labeled cells of
+/// `innet_switch_drops_total`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchStats {
     /// Packets seen.
@@ -50,13 +51,10 @@ pub struct SwitchStats {
     pub buffered: u64,
     /// Packets dropped, for any reason.
     pub dropped: u64,
-    /// Packets for unknown destinations or reclaimed mid-flow VMs
-    /// (subset of `dropped`, kept for compatibility).
-    pub unknown: u64,
 }
 
-/// Shared-registry instruments for one switch controller (see
-/// [`SwitchController::attach_metrics`]).
+/// The switch controller's instruments (Prometheus namespace
+/// `innet_switch_*`): the only store of its counters.
 #[derive(Debug, Clone)]
 struct SwitchMetrics {
     packets: innet_obs::Counter,
@@ -104,36 +102,45 @@ pub struct SwitchController {
     last_active: HashMap<VmId, u64>,
     /// Per-tenant usage accounting.
     usage: HashMap<Ipv4Addr, Usage>,
-    /// Statistics.
-    stats: SwitchStats,
-    /// Shared-registry instruments, if attached.
-    metrics: Option<SwitchMetrics>,
+    /// The instruments: the controller's only counter store.
+    metrics: SwitchMetrics,
 }
 
 impl SwitchController {
-    /// Creates an empty controller.
+    /// Creates an empty controller with a private metrics registry (see
+    /// [`SwitchController::with_obs`] to share one).
     pub fn new() -> SwitchController {
+        SwitchController::with_obs(&innet_obs::Registry::new())
+    }
+
+    /// Creates an empty controller publishing its counters into `obs`
+    /// (Prometheus namespace `innet_switch_*`): packets
+    /// seen/delivered/buffered, VM boots and resumes, and
+    /// `innet_switch_drops_total` labeled by [`DropReason`]. The registry
+    /// is the store [`SwitchController::stats`] reads, so a second switch
+    /// controller on the same registry shares these counts. Sharing one
+    /// registry with the [`Host`] behind it yields one unified snapshot.
+    pub fn with_obs(obs: &innet_obs::Registry) -> SwitchController {
         SwitchController {
             clients: HashMap::new(),
             bindings: HashMap::new(),
             last_active: HashMap::new(),
             usage: HashMap::new(),
-            stats: SwitchStats::default(),
-            metrics: None,
+            metrics: SwitchMetrics::register(obs),
         }
     }
 
-    /// Publishes this controller's counters into `registry` (Prometheus
-    /// namespace `innet_switch_*`): packets seen/delivered/buffered, VM
-    /// boots and resumes, and `innet_switch_drops_total` labeled by
-    /// [`DropReason`]. Only activity after attachment is counted.
-    pub fn attach_metrics(&mut self, registry: &innet_obs::Registry) {
-        self.metrics = Some(SwitchMetrics::register(registry));
-    }
-
-    /// A snapshot of the controller's counters.
+    /// The controller's counters: a typed read of its instruments.
     pub fn stats(&self) -> SwitchStats {
-        self.stats
+        let m = &self.metrics;
+        SwitchStats {
+            packets: m.packets.get(),
+            boots: m.boots.get(),
+            resumes: m.resumes.get(),
+            delivered: m.delivered.get(),
+            buffered: m.buffered.get(),
+            dropped: m.drops.total(),
+        }
     }
 
     /// Registers a client configuration for on-the-fly instantiation.
@@ -141,16 +148,9 @@ impl SwitchController {
         self.clients.insert(entry.addr, entry);
     }
 
-    /// Records a drop in the stats and (if attached) the reason-labeled
-    /// drop counter.
-    fn record_drop(&mut self, reason: DropReason) {
-        self.stats.dropped += 1;
-        if matches!(reason, DropReason::UnknownDst | DropReason::MidFlowNoVm) {
-            self.stats.unknown += 1;
-        }
-        if let Some(m) = &self.metrics {
-            m.drops.with(reason.as_str()).inc();
-        }
+    /// Records a drop in the reason-labeled drop counter.
+    fn record_drop(&self, reason: DropReason) {
+        self.metrics.drops.with(reason.as_str()).inc();
     }
 
     /// Whether `pkt` opens a new flow per the paper's definition: a bare
@@ -179,10 +179,7 @@ impl SwitchController {
         pkt: Packet,
         now_ns: u64,
     ) -> Result<Vec<(u16, Packet)>, HostError> {
-        self.stats.packets += 1;
-        if let Some(m) = &self.metrics {
-            m.packets.inc();
-        }
+        self.metrics.packets.inc();
         let Ok(ip) = pkt.ipv4() else {
             self.record_drop(DropReason::UnknownDst);
             return Ok(Vec::new());
@@ -199,10 +196,7 @@ impl SwitchController {
                     // Resume if it was suspended.
                     VmState::Suspended => {
                         host.resume(vm, now_ns)?;
-                        self.stats.resumes += 1;
-                        if let Some(m) = &self.metrics {
-                            m.resumes.inc();
-                        }
+                        self.metrics.resumes.inc();
                         self.usage.entry(dst).or_default().resumes += 1;
                     }
                     // A first arrival in the suspend window schedules an
@@ -210,10 +204,7 @@ impl SwitchController {
                     // buffers the packet); bill and count that resume
                     // once, here, where the tenant is known.
                     VmState::Suspending { .. } if host.vm(vm)?.pending.is_empty() => {
-                        self.stats.resumes += 1;
-                        if let Some(m) = &self.metrics {
-                            m.resumes.inc();
-                        }
+                        self.metrics.resumes.inc();
                         self.usage.entry(dst).or_default().resumes += 1;
                     }
                     _ => {}
@@ -228,10 +219,7 @@ impl SwitchController {
                     return Ok(Vec::new());
                 }
                 let vm = host.boot_clickos(&entry.config, now_ns)?;
-                self.stats.boots += 1;
-                if let Some(m) = &self.metrics {
-                    m.boots.inc();
-                }
+                self.metrics.boots.inc();
                 self.usage.entry(dst).or_default().boots += 1;
                 self.bindings.insert(dst, vm);
                 vm
@@ -242,18 +230,8 @@ impl SwitchController {
         let bytes = pkt.len() as u64;
         let (outcome, out) = host.deliver_tracked(vm, 0, pkt, now_ns)?;
         match outcome {
-            Delivery::Delivered => {
-                self.stats.delivered += 1;
-                if let Some(m) = &self.metrics {
-                    m.delivered.inc();
-                }
-            }
-            Delivery::Buffered => {
-                self.stats.buffered += 1;
-                if let Some(m) = &self.metrics {
-                    m.buffered.inc();
-                }
-            }
+            Delivery::Delivered => self.metrics.delivered.inc(),
+            Delivery::Buffered => self.metrics.buffered.inc(),
             Delivery::Dropped(reason) => {
                 self.record_drop(reason);
                 return Ok(out);
@@ -413,7 +391,8 @@ mod tests {
             .build();
         let out = sw.on_packet(&mut host, stranger, 0).unwrap();
         assert!(out.is_empty());
-        assert_eq!(sw.stats().unknown, 1);
+        assert_eq!(sw.stats().dropped, 1);
+        assert_eq!(sw.metrics.drops.get("unknown_dst"), 1);
         assert_eq!(host.live_vms(), 0);
     }
 
@@ -426,6 +405,7 @@ mod tests {
             .build();
         sw.on_packet(&mut host, ack, 0).unwrap();
         assert_eq!(host.live_vms(), 0, "mid-flow packet boots nothing");
+        assert_eq!(sw.metrics.drops.get("mid_flow_no_vm"), 1);
         let syn = PacketBuilder::tcp()
             .dst(CLIENT, 80)
             .flags(TcpFlags::SYN)

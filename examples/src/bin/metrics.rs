@@ -21,8 +21,7 @@ fn main() {
     let reg = obs::Registry::new();
 
     // Control plane: a controller verifying deployments, instrumented.
-    let mut ctl = Controller::new(Topology::figure3());
-    ctl.attach_metrics(&reg);
+    let mut ctl = Controller::with_obs(Topology::figure3(), &reg);
     ctl.register_client(
         "mobile-7",
         RequesterClass::Client,
@@ -48,8 +47,7 @@ fn main() {
 
     // Data plane: a host and switch controller sharing the registry.
     let mut host = Host::with_obs(16 * 1024, &reg);
-    let mut sw = SwitchController::new();
-    sw.attach_metrics(&reg);
+    let mut sw = SwitchController::with_obs(&reg);
     let tenants: Vec<Ipv4Addr> = (1..=8).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
     for (i, &addr) in tenants.iter().enumerate() {
         sw.register(ClientEntry {

@@ -17,7 +17,8 @@
 //!    the next-ranked platform *as a cache hit* (regression for the
 //!    race where the memoized platform filled up after verification).
 //! 4. **Placement rejections are observable per reason** via
-//!    `innet_ctl_placement_reject_total{reason}`.
+//!    `innet_ctl_placement_reject_total{reason}`, and the registry agrees
+//!    with `stats()` after a batch deploy.
 
 use std::net::Ipv4Addr;
 
@@ -332,8 +333,7 @@ fn every_platform_full_after_a_cached_accept_reports_per_platform_reasons() {
 #[test]
 fn placement_rejects_are_counted_per_reason() {
     let mut c = twin_platform_controller(1);
-    let reg = MetricsRegistry::new();
-    c.attach_metrics(&reg);
+    let reg = c.obs().clone();
     let req = |name: &str| {
         ClientRequest::parse(&PORTABLE.replace("module batcher:", &format!("module {name}:")))
             .unwrap()
@@ -351,4 +351,55 @@ fn placement_rejects_are_counted_per_reason() {
         prom.contains("innet_ctl_placement_reject_total{reason=\"platform_full\"} 2"),
         "labeled reject counter missing from export:\n{prom}"
     );
+}
+
+/// The registry is the controller's counter store: after a batch whose
+/// shard rejects placements and runs full verifications, the exported
+/// series agree with `stats()` (shards count into the live instruments).
+#[test]
+fn batch_registry_agrees_with_stats() {
+    let mut c = twin_platform_controller(1);
+    let reg = c.obs().clone();
+    let batch: Vec<(String, ClientRequest)> = ["m1", "m2", "m3"]
+        .iter()
+        .map(|name| {
+            let text = PORTABLE.replace("module batcher:", &format!("module {name}:"));
+            ("mobile-7".to_string(), ClientRequest::parse(&text).unwrap())
+        })
+        .collect();
+    // One client, so one shard verifies all three against its snapshot:
+    // two fill the 1-slot platforms, the third is refused on both.
+    let results = c.deploy_batch(batch, 2);
+    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 2);
+
+    let s = c.stats();
+    assert_eq!((s.requests, s.accepted, s.rejected), (3, 2, 1), "{s:?}");
+    assert_eq!(s.placement_rejects, 2, "{s:?}");
+    assert_eq!(s.cache_misses, 3, "{s:?}");
+
+    let rejects = reg.labeled_counter("innet_ctl_placement_reject_total", "reason");
+    assert_eq!(rejects.total(), s.placement_rejects);
+    assert_eq!(rejects.get("platform_full"), 2);
+    let verdicts = reg.labeled_counter("innet_ctl_verdicts_total", "verdict");
+    assert_eq!(verdicts.total(), s.cache_misses);
+    assert_eq!(verdicts.get("reject"), s.rejected);
+    for (stage, ns) in [
+        ("lint", s.stage_lint_ns),
+        ("fastpath", s.stage_fastpath_ns),
+        ("symbolic", s.stage_symbolic_ns),
+        ("placement", s.stage_placement_ns),
+    ] {
+        let h = reg.histogram(&format!("innet_ctl_stage_{stage}_ns"));
+        assert_eq!(h.count(), s.cache_misses, "{stage} samples");
+        assert_eq!(h.sum(), u128::from(ns), "{stage} total");
+    }
+    for (name, v) in [
+        ("innet_ctl_requests_total", s.requests),
+        ("innet_ctl_accepted_total", s.accepted),
+        ("innet_ctl_rejected_total", s.rejected),
+        ("innet_ctl_cache_misses_total", s.cache_misses),
+        ("innet_ctl_analysis_ns_total", s.analysis_ns),
+    ] {
+        assert_eq!(reg.counter(name).get(), v, "{name}");
+    }
 }

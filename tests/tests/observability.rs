@@ -6,8 +6,9 @@
 //! * tenants are billed only for delivered/buffered packets;
 //! * flow churn does not grow the switch controller's bookkeeping maps
 //!   without bound;
-//! * `deploy_batch` folds *all* shard statistics, so batch and serial
-//!   deployments report identical counts;
+//! * `deploy_batch` shards count into the live controller's
+//!   instruments, so batch and serial deployments report identical
+//!   counts;
 //! * every drop increments a reason-labeled counter, making
 //!   `packets == delivered + buffered + Σ drops_by_reason` a checkable
 //!   invariant;
@@ -50,8 +51,7 @@ const SEC: u64 = 1_000_000_000;
 fn suspend_window_packet_survives() {
     let reg = obs::Registry::new();
     let mut host = Host::with_obs(16 * 1024, &reg);
-    let mut sw = SwitchController::new();
-    sw.attach_metrics(&reg);
+    let mut sw = SwitchController::with_obs(&reg);
     sw.register(client_entry(true));
 
     // Boot, flush, and reach steady state.
@@ -239,8 +239,7 @@ fn batch_and_serial_statistics_agree() {
 fn churn_workload_accounts_for_every_packet() {
     let reg = obs::Registry::new();
     let mut host = Host::with_obs(16 * 1024, &reg);
-    let mut sw = SwitchController::new();
-    sw.attach_metrics(&reg);
+    let mut sw = SwitchController::with_obs(&reg);
     sw.register(client_entry(true));
 
     let mut now = 0;

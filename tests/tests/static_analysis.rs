@@ -429,8 +429,7 @@ fn controller_rejects_lint_errors_with_the_diagnostic() {
 #[test]
 fn stock_corpus_rides_the_fast_path() {
     let mut c = controller();
-    let obs = innet::obs::Registry::new();
-    c.attach_metrics(&obs);
+    let obs = c.obs().clone();
     for (i, kind) in ["geo-dns", "reverse-proxy", "x86-vm", "explicit-proxy"]
         .iter()
         .enumerate()
@@ -460,8 +459,7 @@ fn stock_corpus_rides_the_fast_path() {
 #[test]
 fn symbolic_pipeline_metrics_are_exported() {
     let mut c = controller();
-    let obs = innet::obs::Registry::new();
-    c.attach_metrics(&obs);
+    let obs = c.obs().clone();
     let req = ClientRequest::parse(
         "module batcher:\n\
          FromNetfront()\n\

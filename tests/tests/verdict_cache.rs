@@ -7,9 +7,8 @@
 //! alter verdicts (operator policy, hardening, module removal) must
 //! invalidate every cached entry.
 
-use innet::controller::HardeningPolicy;
+use innet::controller::{ControllerStats, HardeningPolicy};
 use innet::prelude::*;
-use std::time::{Duration, Instant};
 
 /// The paper's Figure 4 request: a UDP batcher for a mobile client.
 const FIG4: &str = r#"
@@ -176,23 +175,20 @@ fn rejects_replay_from_the_cache() {
     assert_eq!(c.stats().accepted, 0);
 }
 
-/// The headline number: on 100 identical requests, a cache hit costs at
-/// least 5× less wall-clock than the initial full verification (in
-/// practice orders of magnitude — hits skip compilation and checking
-/// entirely).
+/// The headline claim, as a work count: on 100 identical requests, a
+/// cache hit does none of the verification work the initial miss did —
+/// no model compile, no symbolic check, no analysis, no admission
+/// stage, and no chain-summary traffic. (The wall-clock miss/hit ratio
+/// lives in the admission benchmarks, not in a pass/fail test.)
 #[test]
 fn hits_are_at_least_5x_cheaper_than_misses() {
     let mut c = fresh();
-
-    let t0 = Instant::now();
     c.deploy("mobile-7", req(FIG4)).unwrap();
-    let miss = t0.elapsed();
+    let miss = c.stats();
+    assert!(miss.compile_ns > 0 && miss.check_ns > 0, "{miss:?}");
 
-    let mut hits: Vec<Duration> = Vec::with_capacity(99);
     for _ in 0..99 {
-        let t = Instant::now();
         c.deploy("mobile-7", req(FIG4)).unwrap();
-        hits.push(t.elapsed());
     }
     assert_eq!(c.stats().cache_hits, 99);
     assert_eq!(c.stats().cache_misses, 1);
@@ -200,11 +196,26 @@ fn hits_are_at_least_5x_cheaper_than_misses() {
     // Exactly one miss populated check_ns; every hit credits that cost.
     assert_eq!(c.stats().check_ns_saved, 99 * c.stats().check_ns);
 
-    hits.sort_unstable();
-    let median = hits[hits.len() / 2];
-    assert!(
-        miss >= median * 5,
-        "verification {miss:?} not ≥5× median hit {median:?}"
+    let work = |s: &ControllerStats| {
+        [
+            s.compile_ns,
+            s.check_ns,
+            s.analysis_ns,
+            s.stage_lint_ns,
+            s.stage_fastpath_ns,
+            s.stage_symbolic_ns,
+            s.stage_placement_ns,
+            s.summary_cache_hits,
+            s.summary_cache_misses,
+            s.summary_chain_nodes,
+        ]
+    };
+    assert_eq!(
+        work(&c.stats()),
+        work(&miss),
+        "a hit did verification work: {:?} after the miss, {:?} after the hits",
+        miss,
+        c.stats()
     );
 }
 
